@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from .datasets import CsvSchema, DatasetSpec, generate_clusters, load_csv, write_samples_csv
 from .harness import DEFAULT_NODE_SWEEP, PrequentialReport, mem_report, run_prequential
@@ -22,19 +21,6 @@ from .tree import Hyperparams, Tree
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
-
-
-@dataclass
-class RunConfig:
-    """Everything one run subcommand execution needs."""
-
-    source: DatasetSpec | tuple[str, CsvSchema]
-    params: Hyperparams
-    window: int
-    report_path: str | None
-    snapshot_in: str | None
-    snapshot_out: str | None
-    time_inference: bool
 
 
 class _Parser(argparse.ArgumentParser):

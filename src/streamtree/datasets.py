@@ -111,7 +111,8 @@ def load_csv(path, schema: CsvSchema) -> list[Sample]:
     """Parse a CSV file into samples, in file order, all train-flagged.
 
     Raises ValueError naming the offending line for short rows, non-numeric
-    values in numeric columns, and label cardinality above schema.classes.
+    or non-finite values in numeric columns (cells beyond the f32 range
+    included), and label cardinality above schema.classes.
     """
     samples: list[Sample] = []
     label_codes: dict[str, int] = {}
@@ -148,6 +149,12 @@ def load_csv(path, schema: CsvSchema) -> list[Sample]:
                             f"line {line}: non-numeric value {cell!r} "
                             f"in column {schema.features[j]!r}"
                         ) from None
+            if not np.isfinite(features).all():
+                j = int(np.flatnonzero(~np.isfinite(features))[0])
+                raise ValueError(
+                    f"line {line}: non-finite value {row[feature_idx[j]]!r} "
+                    f"in column {schema.features[j]!r}"
+                )
             label = label_codes.setdefault(row[label_idx], len(label_codes))
             if schema.classes is not None and label >= schema.classes:
                 raise ValueError(

@@ -7,20 +7,21 @@ updated in place. Layout:
   header (50 bytes):
     magic "HTRE" | u16 version | u32 max_nodes, dims, classes, n_quantiles,
     n_pt, n_min, node_count, root | f32 delta, lambda, tau
-  then max_nodes fixed-size node records:
-    u8 kind (0 leaf, 1 internal) | u8 frozen | u32 split_attr |
-    f32 split_value | u32 left | u32 right | K x u64 class_counts |
-    K x D x n_quantiles f32 sketch estimates | K x D u64 sketch counts |
-    u32 since_last_attempt
+  then max_nodes fixed-size node records, packed as _record_dtype lists
 
 Unused arena slots and unused fields (split data on leaves, statistics on
 internal nodes) are zero-filled, which makes re-serialization byte-stable
-and the total size an exact closed form.
+and the total size an exact closed form. A leaf's sketch counts are not
+kept live: every sketch of a class row has absorbed exactly that class's
+samples, so they are written from the class counts and checked against
+them on load.
 """
 
 from __future__ import annotations
 
+import math
 import struct
+from functools import lru_cache
 
 import numpy as np
 
@@ -32,22 +33,31 @@ MAGIC = b"HTRE"
 FORMAT_VERSION = 1
 
 _HEADER = struct.Struct("<4sH8I3f")
-_NODE_FIXED = struct.Struct("<BBIfII")
-_TRAILER = struct.Struct("<I")
 
 _KIND_LEAF = 0
 _KIND_INTERNAL = 1
 
 
+@lru_cache(maxsize=16)
+def _record_dtype(dims: int, classes: int, n_quantiles: int) -> np.dtype:
+    """The node record: packed, little-endian, one field per wire field."""
+    return np.dtype([
+        ("kind", "u1"),
+        ("frozen", "u1"),
+        ("split_attr", "<u4"),
+        ("split_value", "<f4"),
+        ("left", "<u4"),
+        ("right", "<u4"),
+        ("class_counts", "<u8", (classes,)),
+        ("sketch_estimates", "<f4", (classes, dims, n_quantiles)),
+        ("sketch_counts", "<u8", (classes, dims)),
+        ("since_last_attempt", "<u4"),
+    ])
+
+
 def node_record_bytes(dims: int, classes: int, n_quantiles: int) -> int:
     """Exact size of one arena slot on the wire."""
-    return (
-        _NODE_FIXED.size
-        + 8 * classes
-        + 4 * classes * dims * n_quantiles
-        + 8 * classes * dims
-        + _TRAILER.size
-    )
+    return _record_dtype(dims, classes, n_quantiles).itemsize
 
 
 def model_bytes(params: Hyperparams) -> int:
@@ -60,11 +70,16 @@ def model_bytes(params: Hyperparams) -> int:
     )
 
 
+def _records(buffer, params: Hyperparams, count: int) -> np.ndarray:
+    """Record view over the first count arena slots of a snapshot buffer."""
+    dtype = _record_dtype(params.dims, params.classes, params.n_quantiles)
+    return np.frombuffer(buffer, dtype, count, _HEADER.size)
+
+
 def serialize(tree: Tree) -> bytes:
     """Snapshot the whole arena, including empty capacity, into one buffer."""
     p = tree.params
-    record = node_record_bytes(p.dims, p.classes, p.n_quantiles)
-    buf = bytearray(model_bytes(p))
+    buf = np.zeros(model_bytes(p), dtype=np.uint8)
     _HEADER.pack_into(
         buf,
         0,
@@ -82,35 +97,33 @@ def serialize(tree: Tree) -> bytes:
         p.lam,
         p.tau,
     )
-    for i, node in enumerate(tree.arena):
-        off = _HEADER.size + i * record
-        stats = node.stats
-        if stats is None:
-            _NODE_FIXED.pack_into(
-                buf, off, _KIND_INTERNAL, 0,
-                node.split_attr, node.split_value, node.left, node.right,
-            )
-            # statistics block stays zero
-        else:
-            _NODE_FIXED.pack_into(buf, off, _KIND_LEAF, int(stats.frozen), 0, 0.0, 0, 0)
-            pos = off + _NODE_FIXED.size
-            for arr, dtype in (
-                (stats.class_counts, "<u8"),
-                (stats.sketch_estimates, "<f4"),
-                (stats.sketch_counts, "<u8"),
-            ):
-                raw = np.ascontiguousarray(arr).astype(dtype, copy=False).tobytes()
-                buf[pos : pos + len(raw)] = raw
-                pos += len(raw)
-            _TRAILER.pack_into(buf, off + record - _TRAILER.size, stats.since_last_attempt)
-    return bytes(buf)
+    rec = _records(buf, p, tree.node_count)
+    arena = tree.arena
+    internal = [i for i, node in enumerate(arena) if node.stats is None]
+    leaves = [i for i, node in enumerate(arena) if node.stats is not None]
+    rec["kind"][internal] = _KIND_INTERNAL
+    for field in ("split_attr", "split_value", "left", "right"):
+        rec[field][internal] = [getattr(arena[i], field) for i in internal]
+    # split fields on leaves and statistics on internal nodes stay zero
+    stats = [arena[i].stats for i in leaves]
+    class_counts = np.array([s.class_counts for s in stats])
+    rec["frozen"][leaves] = [s.frozen for s in stats]
+    rec["class_counts"][leaves] = class_counts
+    rec["sketch_estimates"][leaves] = [s.sketch_estimates for s in stats]
+    # every absorbed sample updates all dims sketches of its label's row
+    rec["sketch_counts"][leaves] = class_counts[:, :, None]
+    # only a frozen leaf counts this far, and it never attempts a split again
+    rec["since_last_attempt"][leaves] = [min(s.since_last_attempt, 2**32 - 1) for s in stats]
+    return buf.tobytes()
 
 
 def deserialize(buffer: bytes) -> Tree:
     """Rebuild a tree from a serialize() buffer.
 
-    Rejects bad magic, unknown versions, truncated or oversized buffers, and
-    headers whose fields violate the hyperparameter invariants.
+    Rejects bad magic, unknown versions, truncated or oversized buffers,
+    headers whose fields violate the hyperparameter invariants, and node
+    records that name a missing child or attribute, hold a non-finite
+    threshold, or carry sketch counts that differ from their class counts.
     """
     if len(buffer) < _HEADER.size:
         raise ValueError("buffer too short for header")
@@ -141,42 +154,35 @@ def deserialize(buffer: bytes) -> Tree:
     if root >= node_count:
         raise ValueError(f"root index {root} out of range")
 
-    record = node_record_bytes(dims, classes, n_quantiles)
+    rec = _records(buffer, params, node_count)
+    scalars = ["kind", "frozen", "split_attr", "split_value", "left", "right", "since_last_attempt"]
+    class_counts, estimates = rec["class_counts"], rec["sketch_estimates"]
+    counts_differ = (rec["sketch_counts"] != class_counts[:, :, None]).any(axis=(1, 2))
     tree = Tree.__new__(Tree)
     tree.params = params
     tree.root = root
     arena: list[Node] = []
-    for i in range(node_count):
-        off = _HEADER.size + i * record
-        kind, frozen, split_attr, split_value, left, right = _NODE_FIXED.unpack_from(
-            buffer, off
-        )
+    for i, (kind, frozen, attr, value, left, right, since) in enumerate(rec[scalars].tolist()):
         if kind == _KIND_INTERNAL:
             if left >= node_count or right >= node_count:
                 raise ValueError(f"node {i} has child index out of range")
+            if attr >= dims:
+                raise ValueError(f"node {i} splits on attribute {attr}, beyond dims {dims}")
+            if not math.isfinite(value):
+                raise ValueError(f"node {i} has non-finite threshold {value}")
             node = Node()
-            node.split_attr = split_attr
-            node.split_value = float(split_value)
+            node.split_attr = attr
+            node.split_value = value
             node.left = left
             node.right = right
         elif kind == _KIND_LEAF:
+            if counts_differ[i]:
+                raise ValueError(f"node {i} has sketch counts that differ from its class counts")
             stats = LeafStats(params)
-            pos = off + _NODE_FIXED.size
-            stats.class_counts[:] = np.frombuffer(buffer, "<u8", classes, pos).astype(
-                np.int64
-            )
-            pos += 8 * classes
-            stats.sketch_estimates[:] = np.frombuffer(
-                buffer, "<f4", classes * dims * n_quantiles, pos
-            ).reshape(classes, dims, n_quantiles)
-            pos += 4 * classes * dims * n_quantiles
-            stats.sketch_counts[:] = np.frombuffer(
-                buffer, "<u8", classes * dims, pos
-            ).reshape(classes, dims)
+            stats.class_counts[:] = class_counts[i]
+            stats.sketch_estimates[:] = estimates[i]
             stats.frozen = bool(frozen)
-            (stats.since_last_attempt,) = _TRAILER.unpack_from(
-                buffer, off + record - _TRAILER.size
-            )
+            stats.since_last_attempt = since
             node = Node(stats)
         else:
             raise ValueError(f"node {i} has unknown kind {kind}")

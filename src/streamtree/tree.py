@@ -99,7 +99,6 @@ class LeafStats:
     __slots__ = (
         "class_counts",
         "sketch_estimates",
-        "sketch_counts",
         "since_last_attempt",
         "frozen",
         "_targets",
@@ -111,7 +110,6 @@ class LeafStats:
         k, d, q = params.classes, params.dims, params.n_quantiles
         self.class_counts = np.zeros(k, dtype=np.int64)
         self.sketch_estimates = np.zeros((k, d, q), dtype=np.float32)
-        self.sketch_counts = np.zeros((k, d), dtype=np.uint64)
         self.since_last_attempt = 0
         self.frozen = False
         self._targets = quantile_targets(q)
@@ -133,7 +131,6 @@ class LeafStats:
         else:
             signum_update(row, features[:, None], self._up, self._down)
         self.class_counts[label] += 1
-        self.sketch_counts[label] += 1
         self.since_last_attempt += 1
 
     def cdf(self, label: int, attr: int, value: float) -> float:

@@ -137,3 +137,13 @@ def test_csv_blank_lines_skipped(tmp_path):
     path.write_text("a,y\n1,0\n\n2,1\n")
     samples = load_csv(path, CsvSchema(features=["a"], label="y"))
     assert len(samples) == 2
+
+
+# 1e39 parses as a finite float but overflows the f32 feature vector
+@pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e39"])
+def test_csv_non_finite_names_line_and_column(tmp_path, cell):
+    path = tmp_path / "t.csv"
+    path.write_text(f"a,b,y\n1,2,0\n3,{cell},1\n")
+    with pytest.raises(ValueError, match=f"line 3.*non-finite.*'{cell}'.*'b'"):
+        load_csv(path, CsvSchema(features=["a", "b"], label="y"))

@@ -1,11 +1,14 @@
 """Round-trip and layout tests for the flat snapshot format."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from streamtree.datasets import DatasetSpec, generate_clusters
 from streamtree.serialize import (
     FORMAT_VERSION,
+    _records,
     deserialize,
     model_bytes,
     node_record_bytes,
@@ -53,12 +56,14 @@ def test_trained_tree_round_trip_predictions():
 
 def test_round_trip_preserves_statistics_and_training():
     tree = trained_tree(seed=3, n=1500, max_nodes=31)
-    back = deserialize(serialize(tree))
+    buf = serialize(tree)
+    back = deserialize(buf)
+    written = _records(buf, tree.params, tree.node_count)
     for idx in tree.leaf_indices():
         a, b = tree.arena[idx].stats, back.arena[idx].stats
         assert a.class_counts.tolist() == b.class_counts.tolist()
         assert a.sketch_estimates.tobytes() == b.sketch_estimates.tobytes()
-        assert a.sketch_counts.tolist() == b.sketch_counts.tolist()
+        assert (written["sketch_counts"][idx] == b.class_counts[:, None]).all()
         assert a.since_last_attempt == b.since_last_attempt
         assert a.frozen == b.frozen
     # the restored tree keeps learning
@@ -148,3 +153,76 @@ def test_frozen_flag_survives_round_trip():
 
 def test_serialization_deterministic_across_identical_runs():
     assert serialize(trained_tree(seed=7)) == serialize(trained_tree(seed=7))
+
+
+GOLDEN_ROWS = [
+    # leaf 1 (x0 <= 0.5)
+    (0.25, 1.0, 0), (-1.5, 0.5, 0), (0.125, -2.0, 1), (0.0, 0.75, 0), (-0.5, -0.5, 2),
+    # leaf 3 (x0 > 0.5, x1 <= -0.25)
+    (1.0, -1.0, 1), (2.5, -0.5, 1), (0.75, -3.0, 2), (1.75, -0.375, 1),
+    # leaf 4 (x0 > 0.5, x1 > -0.25)
+    (1.5, 0.0, 2), (3.0, 1.25, 2), (0.875, 2.0, 0), (1.25, 0.5, 2),
+]
+
+
+def hand_built_tree():
+    """Five nodes in a seven-slot arena over three classes; leaf 3 is frozen."""
+    params = Hyperparams(dims=2, classes=3, n_quantiles=4, n_pt=3, n_min=1000, max_nodes=7)
+    tree = Tree(params)
+    tree._split(0, 0, 0.5)
+    tree._split(2, 1, -0.25)
+    for x0, x1, label in GOLDEN_ROWS:
+        tree.train(Sample(np.array([x0, x1], dtype=np.float32), label))
+    tree.arena[3].stats.frozen = True
+    return tree
+
+
+def editable(buf, tree):
+    """A writable copy of a snapshot and a record view over its used slots."""
+    out = bytearray(buf)
+    return out, _records(out, tree.params, tree.node_count)
+
+
+def test_snapshot_bytes_are_pinned():
+    # the digest was taken from the field-by-field struct writer that
+    # preceded the record dtype; stored snapshots depend on it not moving
+    digest = hashlib.sha256(serialize(hand_built_tree())).hexdigest()
+    assert digest == "5770183ee309e72834f8bab451f88a24b940266cb231e19a34a281bcddfea49d"
+
+
+def test_deserialize_rejects_split_attr_beyond_dims():
+    tree = hand_built_tree()
+    buf, rec = editable(serialize(tree), tree)
+    rec["split_attr"][0] = 7  # dims is 2
+    with pytest.raises(ValueError, match="node 0 splits on attribute 7"):
+        deserialize(buf)
+
+
+def test_deserialize_rejects_non_finite_threshold():
+    tree = hand_built_tree()
+    buf, rec = editable(serialize(tree), tree)
+    rec["split_value"][2] = np.nan
+    with pytest.raises(ValueError, match="node 2 has non-finite threshold"):
+        deserialize(buf)
+
+
+def test_deserialize_rejects_sketch_counts_unlike_class_counts():
+    tree = hand_built_tree()
+    buf, rec = editable(serialize(tree), tree)
+    assert rec["class_counts"][4, 1] == 0
+    rec["sketch_counts"][4, 1, 0] = 99
+    with pytest.raises(ValueError, match="node 4 has sketch counts"):
+        deserialize(buf)
+
+
+def test_since_last_attempt_saturates_on_the_wire():
+    tree = hand_built_tree()
+    stats = tree.arena[3].stats  # frozen, so it never resets the counter
+    stats.since_last_attempt = 2**32 - 1
+    tree.train(Sample(np.array([1.0, -1.0], dtype=np.float32), 1))
+    assert stats.since_last_attempt == 2**32
+    buf = serialize(tree)
+    assert _records(buf, tree.params, tree.node_count)["since_last_attempt"][3] == 2**32 - 1
+    back = deserialize(buf)
+    assert back.arena[3].stats.since_last_attempt == 2**32 - 1
+    assert serialize(back) == buf
