@@ -67,25 +67,38 @@ def signum_update(estimates: np.ndarray, x, up: np.ndarray, down: np.ndarray) ->
     estimates.sort(axis=-1)
 
 
-def cdf_lookup(estimates: np.ndarray, targets: np.ndarray, value: float) -> float:
-    """Inverse read of a monotone (estimates -> targets) curve.
+def cdf_grid(knots: np.ndarray, targets: np.ndarray, values) -> np.ndarray:
+    """Inverse read of monotone (knots -> targets) curves at many values.
 
-    Piecewise-linear between distinct knots, clamped to the first/last
-    target outside the knot range. Runs of equal estimates resolve to the
+    ``knots`` holds sorted curves along the trailing axis, shape (..., n);
+    ``values`` broadcasts against ``knots.shape[:-1]``. Each curve is read
+    piecewise-linearly between distinct knots and clamped to the first/last
+    target outside the knot range. Runs of equal knots resolve to the
     largest target in the run, i.e. the curve is right-continuous.
+    Comparisons and arithmetic are in f64; each read performs the
+    operations a scalar read would, in the same order.
     """
-    i = int(np.searchsorted(estimates, value, side="right"))
-    if i == 0:
-        return float(targets[0])
-    if value == estimates[i - 1]:
-        return float(targets[i - 1])
-    if i == len(estimates):
-        return float(targets[-1])
-    e0 = float(estimates[i - 1])
-    e1 = float(estimates[i])
-    t0 = float(targets[i - 1])
-    t1 = float(targets[i])
-    return t0 + (t1 - t0) * (value - e0) / (e1 - e0)
+    knots = np.asarray(knots, dtype=np.float64)
+    values = np.asarray(values, dtype=np.float64)
+    n = knots.shape[-1]
+    # knots <= value, counted, is searchsorted(knots, value, side="right")
+    i = np.count_nonzero(knots <= values[..., None], axis=-1)
+    lo = np.maximum(i - 1, 0)
+    hi = np.minimum(i, n - 1)
+    grid = np.broadcast_to(knots, i.shape + (n,))
+    e0 = np.take_along_axis(grid, lo[..., None], axis=-1)[..., 0]
+    e1 = np.take_along_axis(grid, hi[..., None], axis=-1)[..., 0]
+    t0 = targets[lo]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # NaN or inf only where a clamp or a knot hit below replaces it
+        inner = t0 + (targets[hi] - t0) * (values - e0) / (e1 - e0)
+    on_knot_or_above = (values == e0) | (i == n)
+    return np.where(i == 0, targets[0], np.where(on_knot_or_above, t0, inner))
+
+
+def cdf_lookup(estimates: np.ndarray, targets: np.ndarray, value: float) -> float:
+    """Inverse read of one monotone (estimates -> targets) curve; see cdf_grid."""
+    return float(cdf_grid(estimates, targets, value))
 
 
 class QuantileSketch:

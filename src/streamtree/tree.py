@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sketch import _signum_steps, cdf_lookup, quantile_targets, signum_update
+from .sketch import _signum_steps, cdf_grid, cdf_lookup, quantile_targets, signum_update
 
 __all__ = [
     "Hyperparams",
@@ -168,13 +168,40 @@ def hoeffding_bound(range_r: float, delta: float, n: int) -> float:
     return math.sqrt(range_r * range_r * math.log(1.0 / delta) / (2.0 * n))
 
 
-def _entropy_bits(masses: np.ndarray) -> float:
-    """Shannon entropy in bits of an unnormalized non-negative mass vector."""
-    total = masses.sum()
-    if total <= 0.0:
-        return 0.0
-    p = masses[masses > 0.0] / total
-    return float(-(p * np.log2(p)).sum())
+def _class_sum(a: np.ndarray) -> np.ndarray:
+    """Sum over the class (last) axis, each cell added up like a 1-D vector.
+
+    numpy sums a C-contiguous last axis pairwise, the way it sums a 1-D
+    class vector, but a strided one sequentially, which differs in the last
+    bit from 8 classes on; broadcasting can hand over either layout.
+    """
+    return np.ascontiguousarray(a).sum(axis=-1)
+
+
+def _entropy_bits(masses: np.ndarray, total) -> np.ndarray:
+    """Shannon entropy in bits of positive masses along the last axis.
+
+    total is each cell's mass summed over all classes, unseen ones included,
+    in the same order as the caller's class vector. p is made C-contiguous
+    so that log2 and the sum run the loops they run on a 1-D class vector.
+    """
+    p = np.ascontiguousarray(masses / np.asarray(total)[..., None])
+    return -_class_sum(p * np.log2(p))
+
+
+def _partition_gain(parent, n, left, n_left, right, n_right) -> np.ndarray:
+    """Information gain in bits, clamped at 0, of two-way partitions.
+
+    parent holds the positive class counts and n their total; left and right
+    hold each cell's positive side masses along the last axis, and n_left
+    and n_right their totals.
+    """
+    gain = (
+        _entropy_bits(parent, n)
+        - (n_left / n) * _entropy_bits(left, n_left)
+        - (n_right / n) * _entropy_bits(right, n_right)
+    )
+    return np.where(gain > 0.0, gain, 0.0)
 
 
 def entropy_gain(class_counts: np.ndarray, left_mass: np.ndarray) -> float:
@@ -190,15 +217,113 @@ def entropy_gain(class_counts: np.ndarray, left_mass: np.ndarray) -> float:
     right = counts - left
     n_left = left.sum()
     n_right = right.sum()
-    n = counts.sum()
     if n_left <= 0.0 or n_right <= 0.0:
         return 0.0
-    gain = (
-        _entropy_bits(counts)
-        - (n_left / n) * _entropy_bits(left)
-        - (n_right / n) * _entropy_bits(right)
+    return float(_partition_gain(
+        counts[counts > 0.0], counts.sum(),
+        left[left > 0.0], n_left,
+        right[right > 0.0], n_right,
+    ))
+
+
+def _seen_knots(stats: LeafStats) -> tuple[np.ndarray, np.ndarray]:
+    """Mask of the classes the leaf has seen, and their knots per attribute.
+
+    The knots are f64 with shape (dims, seen classes, n_quantiles).
+    """
+    seen = stats.class_counts > 0
+    if not seen.any():
+        raise ValueError("leaf has absorbed no training samples")
+    knots = stats.sketch_estimates[seen].transpose(1, 0, 2).astype(np.float64)
+    return seen, knots
+
+
+def _candidate_grid(knots: np.ndarray, counts: np.ndarray, n_pt: int):
+    """Candidate thresholds of every attribute, one sorted row each.
+
+    knots is (attrs, seen classes, n_quantiles) and counts the seen classes'
+    counts. Each row pools its classes' knots, weighted by class count, into
+    one merged quantile curve and reads it at n_pt evenly spaced
+    probabilities, with np.interp's arithmetic. Returns the f32 candidates,
+    shape (attrs, n_pt), and a mask that is False on repeats of the
+    previous value in a row, so the masked row is np.unique of the reads.
+    """
+    attrs = knots.shape[0]
+    values = knots.reshape(attrs, -1)
+    weights = np.repeat(counts.astype(np.float64), knots.shape[-1])
+    order = np.argsort(values, axis=1, kind="stable")
+    values = np.take_along_axis(values, order, axis=1)
+    weights = weights[order]
+    cum = np.cumsum(weights, axis=1)
+    positions = (cum - weights / 2.0) / cum[:, -1:]
+    probes = np.arange(1, n_pt + 1, dtype=np.float64) / (n_pt + 1)
+
+    # np.interp: j is the last position <= the probe; probes below the
+    # first position read the first value, at or past the last the last
+    last = positions.shape[1] - 1
+    j = np.count_nonzero(positions[:, None, :] <= probes[:, None], axis=-1) - 1
+    lo = np.clip(j, 0, max(last - 1, 0))
+    hi = np.minimum(lo + 1, last)
+    x0 = np.take_along_axis(positions, lo, axis=1)
+    x1 = np.take_along_axis(positions, hi, axis=1)
+    y0 = np.take_along_axis(values, lo, axis=1)
+    y1 = np.take_along_axis(values, hi, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = (y1 - y0) / (x1 - x0)
+        reads = slope * (probes - x0) + y0
+        # np.interp's fix-ups: on NaN retry from the right knot, then take
+        # the flat segment's value
+        reads = np.where(np.isnan(reads), slope * (probes - x1) + y1, reads)
+    reads = np.where(np.isnan(reads) & (y0 == y1), y0, reads)
+    reads = np.where(x0 == probes, y0, reads)
+    reads = np.where(j < 0, values[:, :1], np.where(j >= last, values[:, -1:], reads))
+
+    cands = np.sort(reads.astype(np.float32), axis=1)
+    fresh = np.ones(cands.shape, dtype=bool)
+    fresh[:, 1:] = cands[:, 1:] != cands[:, :-1]
+    return cands, fresh
+
+
+def _gain_grid(stats: LeafStats, seen, knots, values) -> np.ndarray:
+    """Information gain of splitting at values[a, p] on knots' attribute a.
+
+    seen and knots come from _seen_knots (knots may hold a subset of the
+    attributes); values is f64 of shape (attrs, thresholds). The left mass
+    of class k is count_k times the class sketch's CDF read at the
+    threshold.
+    """
+    counts = stats.class_counts.astype(np.float64)
+    seen_counts = counts[seen]
+    n = counts.sum()
+    cdf = cdf_grid(knots[:, None], stats._targets, values[:, :, None])
+    left_seen = seen_counts * cdf
+    right_seen = seen_counts - left_seen
+    left = np.zeros(left_seen.shape[:-1] + counts.shape)
+    left[..., seen] = left_seen
+    right = counts - left
+    # a seen class's CDF lies in [t_first, t_last], inside (0, 1), so both of
+    # its side masses are positive: the seen classes are exactly the classes
+    # with mass on either side, and no side is ever empty
+    return _partition_gain(
+        seen_counts, n, left_seen, _class_sum(left), right_seen, _class_sum(right)
     )
-    return max(0.0, gain)
+
+
+def _best_splits(stats: LeafStats, n_pt: int) -> tuple[np.ndarray, np.ndarray]:
+    """Best gain and its threshold per attribute, over all candidates at once.
+
+    Within an attribute the first of the candidates with the largest gain
+    wins, and a gain must exceed 0 to count; an attribute with no positive
+    gain reports gain 0 at threshold 0.
+    """
+    seen, knots = _seen_knots(stats)
+    cands, fresh = _candidate_grid(knots, stats.class_counts[seen], n_pt)
+    values = cands.astype(np.float64)
+    gains = np.where(fresh, _gain_grid(stats, seen, knots, values), 0.0)
+    rows = np.arange(len(gains))
+    first = np.argmax(gains, axis=1)
+    best_gain = gains[rows, first]
+    return best_gain, np.where(best_gain > 0.0, values[rows, first], 0.0)
 
 
 def split_gain(stats: LeafStats, attr: int, value: float) -> float:
@@ -207,14 +332,9 @@ def split_gain(stats: LeafStats, attr: int, value: float) -> float:
     The left mass of class k is count_k times the class sketch's CDF read at
     the threshold; entropies are computed from those masses.
     """
-    n = stats.total
-    if n < 1:
-        raise ValueError("leaf has absorbed no training samples")
-    counts = stats.class_counts
-    left = np.zeros(len(counts), dtype=np.float64)
-    for k in np.flatnonzero(counts):
-        left[k] = float(counts[k]) * stats.cdf(int(k), attr, value)
-    return entropy_gain(counts, left)
+    seen, knots = _seen_knots(stats)
+    values = np.array([[value]], dtype=np.float64)
+    return float(_gain_grid(stats, seen, knots[[attr]], values)[0, 0])
 
 
 def split_candidates(stats: LeafStats, attr: int, n_pt: int) -> np.ndarray:
@@ -224,17 +344,9 @@ def split_candidates(stats: LeafStats, attr: int, n_pt: int) -> np.ndarray:
     merged quantile curve and reads it at n_pt evenly spaced probabilities.
     Duplicates collapse, so fewer than n_pt values may come back.
     """
-    seen = stats.class_counts > 0
-    values = stats.sketch_estimates[seen, attr, :].astype(np.float64).ravel()
-    n_q = stats.sketch_estimates.shape[-1]
-    weights = np.repeat(stats.class_counts[seen].astype(np.float64), n_q)
-    order = np.argsort(values, kind="stable")
-    values = values[order]
-    weights = weights[order]
-    cum = np.cumsum(weights)
-    positions = (cum - weights / 2.0) / cum[-1]
-    probes = np.arange(1, n_pt + 1, dtype=np.float64) / (n_pt + 1)
-    return np.unique(np.interp(probes, positions, values).astype(np.float32))
+    seen, knots = _seen_knots(stats)
+    cands, fresh = _candidate_grid(knots[[attr]], stats.class_counts[seen], n_pt)
+    return cands[0][fresh[0]]
 
 
 class Tree:
@@ -322,15 +434,7 @@ class Tree:
             return None
 
         params = self.params
-        best_gain = np.zeros(params.dims, dtype=np.float64)
-        best_value = np.zeros(params.dims, dtype=np.float64)
-        for attr in range(params.dims):
-            for value in split_candidates(stats, attr, params.n_pt):
-                gain = split_gain(stats, attr, float(value))
-                if gain > best_gain[attr]:
-                    best_gain[attr] = gain
-                    best_value[attr] = float(value)
-
+        best_gain, best_value = _best_splits(stats, params.n_pt)
         first = int(np.argmax(best_gain))
         g_first = best_gain[first]
         if params.dims > 1:

@@ -169,3 +169,12 @@ def test_cdf_lookup_interpolates_in_float64():
     est = np.array([0.0, 1.0], dtype=np.float32)
     t = np.array([0.25, 0.75])
     assert cdf_lookup(est, t, 0.5) == pytest.approx(0.5)
+
+
+def test_cdf_lookup_on_an_infinite_knot_reads_its_target():
+    # interpolating from a -inf knot would give NaN; a knot hit reads the
+    # knot's own target instead
+    est = np.array([-np.inf, 0.0, 1.0], dtype=np.float32)
+    t = quantile_targets(3)
+    assert cdf_lookup(est, t, -np.inf) == t[0]
+    assert cdf_lookup(est, t, 0.0) == t[1]

@@ -1,10 +1,15 @@
 """Tests for the tree learner: bound, routing, training, splits, gains."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from streamtree.datasets import DatasetSpec, generate_clusters
 from streamtree.serialize import _records, serialize
 from streamtree.sketch import QuantileSketch
 from streamtree.tree import (
@@ -12,6 +17,7 @@ from streamtree.tree import (
     LeafStats,
     Sample,
     Tree,
+    _best_splits,
     entropy_gain,
     hoeffding_bound,
     split_candidates,
@@ -438,3 +444,232 @@ def test_training_is_deterministic():
         for s in stream:
             t.train(s)
     assert serialize(trees[0]) == serialize(trees[1])
+
+
+# ------------------------------------------- split kernel vs scalar loop
+#
+# The scalar attribute x candidate x class loop that the batched kernel in
+# Tree.attempt_split replaced, kept verbatim as the reference. The kernel
+# must reproduce it to the bit, so comparisons use np.array_equal.
+
+
+def scalar_cdf(estimates, targets, value):
+    i = int(np.searchsorted(estimates, value, side="right"))
+    if i == 0:
+        return float(targets[0])
+    if value == estimates[i - 1]:
+        return float(targets[i - 1])
+    if i == len(estimates):
+        return float(targets[-1])
+    e0 = float(estimates[i - 1])
+    e1 = float(estimates[i])
+    t0 = float(targets[i - 1])
+    t1 = float(targets[i])
+    return t0 + (t1 - t0) * (value - e0) / (e1 - e0)
+
+
+def scalar_entropy_bits(masses):
+    total = masses.sum()
+    if total <= 0.0:
+        return 0.0
+    p = masses[masses > 0.0] / total
+    return float(-(p * np.log2(p)).sum())
+
+
+def scalar_entropy_gain(class_counts, left_mass):
+    counts = np.asarray(class_counts, dtype=np.float64)
+    left = np.asarray(left_mass, dtype=np.float64)
+    right = counts - left
+    n_left = left.sum()
+    n_right = right.sum()
+    n = counts.sum()
+    if n_left <= 0.0 or n_right <= 0.0:
+        return 0.0
+    gain = (
+        scalar_entropy_bits(counts)
+        - (n_left / n) * scalar_entropy_bits(left)
+        - (n_right / n) * scalar_entropy_bits(right)
+    )
+    return max(0.0, gain)
+
+
+def scalar_split_gain(stats, attr, value):
+    counts = stats.class_counts
+    left = np.zeros(len(counts), dtype=np.float64)
+    for k in np.flatnonzero(counts):
+        cdf = scalar_cdf(stats.sketch_estimates[k, attr], stats._targets, value)
+        left[k] = float(counts[k]) * cdf
+    return scalar_entropy_gain(counts, left)
+
+
+def scalar_split_candidates(stats, attr, n_pt):
+    seen = stats.class_counts > 0
+    values = stats.sketch_estimates[seen, attr, :].astype(np.float64).ravel()
+    n_q = stats.sketch_estimates.shape[-1]
+    weights = np.repeat(stats.class_counts[seen].astype(np.float64), n_q)
+    order = np.argsort(values, kind="stable")
+    values = values[order]
+    weights = weights[order]
+    cum = np.cumsum(weights)
+    positions = (cum - weights / 2.0) / cum[-1]
+    probes = np.arange(1, n_pt + 1, dtype=np.float64) / (n_pt + 1)
+    return np.unique(np.interp(probes, positions, values).astype(np.float32))
+
+
+def scalar_best_splits(stats, n_pt):
+    dims = stats.sketch_estimates.shape[1]
+    best_gain = np.zeros(dims, dtype=np.float64)
+    best_value = np.zeros(dims, dtype=np.float64)
+    for attr in range(dims):
+        for value in scalar_split_candidates(stats, attr, n_pt):
+            gain = scalar_split_gain(stats, attr, float(value))
+            if gain > best_gain[attr]:
+                best_gain[attr] = gain
+                best_value[attr] = float(value)
+    return best_gain, best_value
+
+
+def assert_kernel_matches_scalar_loop(stats, n_pt):
+    gain, value = _best_splits(stats, n_pt)
+    want_gain, want_value = scalar_best_splits(stats, n_pt)
+    assert np.array_equal(gain, want_gain), (gain, want_gain)
+    assert np.array_equal(value, want_value), (value, want_value)
+
+
+def leaves_at_split_attempts(params, spec):
+    """Copies of every leaf a split attempt evaluates while training on spec."""
+    leaves = []
+
+    class Recording(Tree):
+        def attempt_split(self, leaf_idx):
+            stats = self.arena[leaf_idx].stats
+            if not stats.frozen and np.count_nonzero(stats.class_counts) >= 2:
+                copy = LeafStats(self.params)
+                copy.class_counts[:] = stats.class_counts
+                copy.sketch_estimates[:] = stats.sketch_estimates
+                leaves.append(copy)
+            return super().attempt_split(leaf_idx)
+
+    tree = Recording(params)
+    for sample in generate_clusters(spec):
+        tree.train(sample)
+    return leaves
+
+
+@pytest.mark.parametrize("dims,classes,samples,spread", [
+    (54, 7, 6000, 0.5),
+    (3, 5, 20000, 0.5),
+    (4, 10, 30000, 1.0),
+    (6, 12, 30000, 1.0),
+    (1, 2, 5000, 1.0),
+])
+def test_split_kernel_matches_scalar_loop_on_training_leaves(dims, classes, samples, spread):
+    params = Hyperparams(dims=dims, classes=classes)
+    spec = DatasetSpec(clusters=classes, dims=dims, samples=samples,
+                       cluster_spread=spread, seed=1)
+    leaves = leaves_at_split_attempts(params, spec)
+    assert len(leaves) >= 20
+    if classes >= 10:
+        # from 9 summed classes on, numpy's pairwise summation differs from
+        # a sequential one, which a strided class axis would fall back to
+        assert sum(np.count_nonzero(s.class_counts) >= 9 for s in leaves) >= 100
+    for stats in leaves:
+        assert_kernel_matches_scalar_loop(stats, params.n_pt)
+
+
+knot_values = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5]),
+    st.floats(-100.0, 100.0, width=32),
+)
+
+
+def assert_leaf_matches_scalar_loop(dims, classes, n_quantiles, n_pt, lam, labels, features):
+    params = Hyperparams(dims=dims, classes=classes, lam=lam,
+                         n_quantiles=n_quantiles, n_pt=n_pt)
+    stats = LeafStats(params)
+    for label, x in zip(labels, features):
+        stats.absorb(label, x)
+    assert_kernel_matches_scalar_loop(stats, n_pt)
+    # the public wrappers run the kernel's stages
+    for attr in range(dims):
+        cands = split_candidates(stats, attr, n_pt)
+        want = scalar_split_candidates(stats, attr, n_pt)
+        assert np.array_equal(cands, want) and cands.dtype == want.dtype
+        for value in cands:
+            assert split_gain(stats, attr, float(value)) == scalar_split_gain(
+                stats, attr, float(value))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_split_kernel_matches_scalar_loop_property(data):
+    dims = data.draw(st.integers(1, 4), label="dims")
+    classes = data.draw(st.integers(2, 12), label="classes")
+    n_quantiles = data.draw(st.integers(1, 16), label="n_quantiles")
+    n_pt = data.draw(st.integers(1, n_quantiles), label="n_pt")
+    lam = data.draw(st.sampled_from([0.01, 0.5, 4.0]), label="lam")
+    labels = data.draw(st.lists(st.integers(0, classes - 1), min_size=1, max_size=120),
+                       label="labels")
+    features = data.draw(arrays(np.float32, (len(labels), dims), elements=knot_values),
+                         label="features")
+    assert_leaf_matches_scalar_loop(dims, classes, n_quantiles, n_pt, lam, labels, features)
+
+
+def test_split_kernel_sums_classes_of_a_broadcast_grid_pairwise():
+    # found by the property above: with one candidate per attribute the
+    # broadcast CDF grid came out with a strided class axis, and its
+    # sequential sum over 8 classes missed the scalar loop's gain of 0 by
+    # 4.4e-16
+    labels = [0] * 8 + list(range(1, 8))
+    features = np.zeros((len(labels), 2), dtype=np.float32)
+    assert_leaf_matches_scalar_loop(2, 8, 1, 1, 0.01, labels, features)
+
+
+def test_split_candidates_follow_np_interp_on_infinite_knots():
+    # a snapshot may carry infinite knots. Between -inf and a finite knot
+    # np.interp's first formula gives NaN and it retries from the right
+    # knot; between two +inf knots both give NaN and it takes the knot
+    params = Hyperparams(dims=1, classes=3, n_quantiles=4, n_pt=4)
+    stats = LeafStats(params)
+    stats.class_counts[:] = [1, 1, 1]
+    stats.sketch_estimates[0, 0] = [-1.0, 0.0, 0.5, 2.0]
+    stats.sketch_estimates[1, 0] = np.inf
+    stats.sketch_estimates[2, 0] = [-np.inf, -np.inf, 1.0, 1.0]
+    want = scalar_split_candidates(stats, 0, params.n_pt)
+    assert np.isinf(want).any() and not np.isnan(want).any()
+    assert np.array_equal(split_candidates(stats, 0, params.n_pt), want)
+
+
+def test_identical_columns_split_on_first_at_first_best_candidate():
+    # class 0 sits at 0, class 1 at 10, on both (identical) attributes; every
+    # candidate from 0 up to below 10 separates them equally well, and with
+    # 50 against 60 samples one probe reads between the two classes
+    params = Hyperparams(dims=2, classes=2, tau=1.0, max_nodes=3)
+    stats = LeafStats(params)
+    for label, x, times in ((0, 0.0, 50), (1, 10.0, 60)):
+        for _ in range(times):
+            stats.absorb(label, np.array([x, x], dtype=np.float32))
+    cands = scalar_split_candidates(stats, 0, params.n_pt)
+    gains = [scalar_split_gain(stats, 0, float(v)) for v in cands]
+    assert cands[0] == 0.0 and gains.count(max(gains)) >= 2 and gains[0] == max(gains)
+    tree = Tree(params)
+    tree.arena[0].stats = stats
+    assert tree.attempt_split(0) == (0, 0.0)
+    assert tree.arena[0].split_attr == 0 and tree.arena[0].split_value == 0.0
+
+
+@pytest.mark.parametrize("dims,classes,samples,spread,params,digest", [
+    (54, 7, 6000, 0.5, dict(tau=0.2, max_nodes=63),
+     "2f70331bef614e623ff971052f6a6171e4bb73e77c2da40e59b3c6dd751b3610"),
+    (4, 10, 20000, 1.0, dict(tau=0.1, max_nodes=15),
+     "9d8d2ef9ec4d187e09ce989a245011faeeb049cf0b89586e16bd0812a9eef050"),
+])
+def test_trained_snapshot_bytes_are_pinned(dims, classes, samples, spread, params, digest):
+    # digests taken from the scalar split loop that preceded the kernel
+    tree = Tree(Hyperparams(dims=dims, classes=classes, **params))
+    spec = DatasetSpec(clusters=classes, dims=dims, samples=samples,
+                       cluster_spread=spread, seed=5)
+    for sample in generate_clusters(spec):
+        tree.train(sample)
+    assert tree.node_count > 3
+    assert hashlib.sha256(serialize(tree)).hexdigest() == digest
