@@ -1,11 +1,13 @@
-"""Bundles: batch transfer without batch learning.
+"""Bundles: one kernel call per batch, the answers of one call per sample.
 
 A bundle is an ordered batch of flagged samples handed to one kernel call.
-Each sample is still processed by a single infer-then-train step, so the
-outputs are identical to feeding the samples one by one; only the invocation
-overhead is amortized. Samples flagged infer-only are answered without
-touching the model.
+The kernel routes, answers and absorbs every sample between two split
+attempts at once, and its outputs and final model are identical to feeding
+the samples one by one. Samples flagged infer-only are answered without
+touching the model. The script exits with status 1 if either differs.
 """
+
+import sys
 
 import numpy as np
 
@@ -41,12 +43,16 @@ reference = [
     for s in stream
 ]
 
+same_outputs = outputs == reference
+same_model = serialize(bundled_tree) == serialize(single_tree)
 print(f"processed {len(stream)} samples in bundles of 512")
-print(f"outputs identical to one-at-a-time calls: {outputs == reference}")
-print(f"final models byte-identical: {serialize(bundled_tree) == serialize(single_tree)}")
+print(f"outputs identical to one-at-a-time calls: {same_outputs}")
+print(f"final models byte-identical: {same_model}")
 
 infer_only = sum(not s.train for s in stream)
 hits = sum(o == s.label for o, s in zip(outputs, stream))
 print(f"\n{infer_only} samples were inference-only probes")
 print(f"prequential-style accuracy across the stream: {hits / len(stream):.3f}")
 print(f"final nodes: {bundled_tree.node_count}")
+if not (same_outputs and same_model):
+    sys.exit("bundle outputs or the final model differ from one-at-a-time calls")

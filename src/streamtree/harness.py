@@ -1,10 +1,11 @@
 """Evaluation harness: bundle processing, prequential runs, memory tables.
 
 Bundles model the device calling convention: an ordered batch of flagged
-samples handed to one kernel invocation. Processing stays strictly
-sequential, one infer-then-train step per sample, so a bundle is behaviorally
-identical to the same sequence of single calls; batching only amortizes
-transfer overhead.
+samples handed to one kernel invocation. A bundle, like a prequential
+stream, is checked whole and then handed to Tree.learn, which routes,
+answers and absorbs every sample between two split attempts at once. Its
+answers and the tree it leaves are exactly those of the same sequence of
+single train() and infer() calls.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
+
+import numpy as np
 
 from .serialize import model_bytes
 from .tree import Hyperparams, Sample, Tree
@@ -53,25 +56,59 @@ def split_into_bundles(samples: Sequence[Sample], capacity: int) -> Iterator[Bun
         yield Bundle(list(samples[start : start + capacity]), capacity)
 
 
+def _rows(tree: Tree, samples: Sequence[Sample]):
+    """The samples as learn() rows: features, labels and train flags.
+
+    Checks every sample first and raises a ValueError that names the first
+    bad one: features that are not dims numbers, a train flag that is not
+    a bool, or a train label that is not an integer class index. learn()
+    then checks that the features are finite. Labels of samples not flagged
+    for training are ignored.
+    """
+    dims, classes = tree.params.dims, tree.params.classes
+    flags = [s.train for s in samples]
+    try:
+        X = np.array([s.features for s in samples], dtype=np.float32)
+        labels = np.array([s.label if f else 0 for s, f in zip(samples, flags)])
+        ok = X.shape == (len(samples), dims) and labels.dtype.kind in "iub"
+    except (TypeError, ValueError):
+        ok = False
+    if ok and all(isinstance(f, (bool, np.bool_)) for f in flags):
+        return X, labels, np.array(flags, dtype=bool)
+
+    X = np.empty((len(samples), dims), dtype=np.float32)
+    labels = np.zeros(len(samples), dtype=np.int64)
+    for i, s in enumerate(samples):
+        try:
+            x = np.asarray(s.features, dtype=np.float32)
+        except (TypeError, ValueError):
+            raise ValueError(f"sample {i}: features are not numbers") from None
+        if x.shape != (dims,):
+            raise ValueError(f"sample {i}: expected {dims} features, got shape {x.shape}")
+        X[i] = x
+        if not isinstance(s.train, (bool, np.bool_)):
+            raise ValueError(f"sample {i}: train flag {s.train!r} is not a bool")
+        if s.train:
+            if not isinstance(s.label, (int, np.integer)) or not 0 <= s.label < classes:
+                raise ValueError(
+                    f"sample {i}: label {s.label!r} is not a class index below {classes}"
+                )
+            labels[i] = s.label
+    return X, labels, np.array(flags, dtype=bool)
+
+
 def process_bundle(tree: Tree, bundle: Bundle) -> list[int]:
     """Run one infer-then-train pass over a bundle.
 
     Output i is the model's answer for sample i: the pre-update prediction
     for train-flagged samples, a pure inference otherwise. The model seen by
-    sample i reflects exactly the train-flagged samples before it.
+    sample i reflects exactly the train-flagged samples before it. Every
+    sample is checked before the tree changes, so a bad one raises a
+    ValueError naming its index and leaves the tree as it was.
     """
-    if bundle.samples and len(bundle.samples[0].features) != tree.params.dims:
-        raise ValueError(
-            f"bundle has {len(bundle.samples[0].features)} features, "
-            f"tree expects {tree.params.dims}"
-        )
-    out = []
-    for sample in bundle.samples:
-        if sample.train:
-            out.append(tree.train(sample))
-        else:
-            out.append(tree.infer(sample.features))
-    return out
+    if not bundle.samples:
+        return []
+    return tree.learn(*_rows(tree, bundle.samples)).tolist()
 
 
 @dataclass
@@ -125,34 +162,30 @@ def run_prequential(
     test-then-train: the pre-update prediction is scored against the true
     label. windowed_accuracy holds one (end index, accuracy) entry per
     trailing window of the given size, the last window possibly partial.
-    Wall-clock timing covers the train loop only; when time_inference is
-    set, a second read-only pass over the stream measures inference time.
+    Every sample is checked before the tree changes, so a bad one raises a
+    ValueError naming its index and leaves the tree as it was. Wall-clock
+    timing covers checking and training; when time_inference is set, a
+    second read-only pass over the stream measures inference time.
     """
     if not stream:
         raise ValueError("stream is empty")
     if window < 1:
         raise ValueError("window must be positive")
-    for s in stream:
-        if not s.train:
-            raise ValueError("prequential streams must be fully train-flagged")
 
-    correct = 0
-    window_correct = 0
-    window_seen = 0
-    windows: list[tuple[int, float]] = []
     start = time.perf_counter()
-    for i, sample in enumerate(stream):
-        hit = tree.train(sample) == sample.label
-        correct += hit
-        window_correct += hit
-        window_seen += 1
-        if window_seen == window:
-            windows.append((i + 1, window_correct / window))
-            window_correct = 0
-            window_seen = 0
+    X, labels, train = _rows(tree, stream)
+    if not train.all():
+        i = int(np.argmin(train))
+        raise ValueError(f"sample {i}: prequential streams must be fully train-flagged")
+    hits = tree.learn(X, labels, train) == labels
     train_time = time.perf_counter() - start
-    if window_seen:
-        windows.append((len(stream), window_correct / window_seen))
+    total = len(stream)
+    starts = range(0, total, window)
+    windows: list[tuple[int, float]] = []
+    for begin, h in zip(starts, np.add.reduceat(hits, starts, dtype=np.int64).tolist()):
+        end = min(begin + window, total)
+        windows.append((end, h / (end - begin)))
+    correct = int(hits.sum())
 
     infer_time = 0.0
     if time_inference:
@@ -161,7 +194,6 @@ def run_prequential(
             tree.infer(sample.features)
         infer_time = time.perf_counter() - start
 
-    total = len(stream)
     return PrequentialReport(
         total=total,
         correct=correct,

@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .tree import Hyperparams, LeafStats, Node, Tree
+from .tree import Hyperparams, LeafStats, Node, Tree, _StatsPool
 
 __all__ = ["serialize", "deserialize", "model_bytes", "node_record_bytes"]
 
@@ -53,6 +53,33 @@ def _record_dtype(dims: int, classes: int, n_quantiles: int) -> np.dtype:
         ("sketch_counts", "<u8", (classes, dims)),
         ("since_last_attempt", "<u4"),
     ])
+
+
+@lru_cache(maxsize=16)
+def _params(header: bytes) -> Hyperparams:
+    """The hyperparameters of a header, validated once per distinct header.
+
+    A device sync reloads snapshots of one model again and again; building
+    and checking a Hyperparams costs more than this lookup. The key is the
+    header's bytes, not its values, which would let a tau of -0.0 come
+    back as a cached 0.0. Invalid values raise every time, since
+    lru_cache keeps no exceptions.
+    """
+    (
+        _, _, max_nodes, dims, classes, n_quantiles,
+        n_pt, n_min, _, _, delta, lam, tau,
+    ) = _HEADER.unpack(header)
+    return Hyperparams(
+        dims=dims,
+        classes=classes,
+        delta=float(delta),
+        lam=float(lam),
+        tau=float(tau),
+        n_min=n_min,
+        n_pt=n_pt,
+        n_quantiles=n_quantiles,
+        max_nodes=max_nodes,
+    )
 
 
 def node_record_bytes(dims: int, classes: int, n_quantiles: int) -> int:
@@ -105,15 +132,15 @@ def serialize(tree: Tree) -> bytes:
     for field in ("split_attr", "split_value", "left", "right"):
         rec[field][internal] = [getattr(arena[i], field) for i in internal]
     # split fields on leaves and statistics on internal nodes stay zero
-    stats = [arena[i].stats for i in leaves]
-    class_counts = np.array([s.class_counts for s in stats])
-    rec["frozen"][leaves] = [s.frozen for s in stats]
+    pool = tree._pool
+    class_counts = pool.counts[leaves]
+    rec["frozen"][leaves] = pool.frozen[leaves]
     rec["class_counts"][leaves] = class_counts
-    rec["sketch_estimates"][leaves] = [s.sketch_estimates for s in stats]
+    rec["sketch_estimates"][leaves] = pool.sketch[leaves]
     # every absorbed sample updates all dims sketches of its label's row
     rec["sketch_counts"][leaves] = class_counts[:, :, None]
     # only a frozen leaf counts this far, and it never attempts a split again
-    rec["since_last_attempt"][leaves] = [min(s.since_last_attempt, 2**32 - 1) for s in stats]
+    rec["since_last_attempt"][leaves] = np.minimum(pool.since[leaves], 2**32 - 1)
     return buf.tobytes()
 
 
@@ -123,29 +150,20 @@ def deserialize(buffer: bytes) -> Tree:
     Rejects bad magic, unknown versions, truncated or oversized buffers,
     headers whose fields violate the hyperparameter invariants, and node
     records that name a missing child or attribute, hold a non-finite
-    threshold, or carry sketch counts that differ from their class counts.
+    threshold, carry sketch counts that differ from their class counts, or
+    hold a non-finite or unsorted knot in the sketch row of a class their
+    leaf has seen.
     """
     if len(buffer) < _HEADER.size:
         raise ValueError("buffer too short for header")
-    (
-        magic, version, max_nodes, dims, classes, n_quantiles,
-        n_pt, n_min, node_count, root, delta, lam, tau,
-    ) = _HEADER.unpack_from(buffer, 0)
+    header = bytes(buffer[: _HEADER.size])
+    magic, version, *_, node_count, root, _, _, _ = _HEADER.unpack(header)
     if magic != MAGIC:
         raise ValueError(f"bad magic {magic!r}")
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported format version {version}")
-    params = Hyperparams(
-        dims=dims,
-        classes=classes,
-        delta=float(delta),
-        lam=float(lam),
-        tau=float(tau),
-        n_min=n_min,
-        n_pt=n_pt,
-        n_quantiles=n_quantiles,
-        max_nodes=max_nodes,
-    )
+    params = _params(header)
+    max_nodes, dims = params.max_nodes, params.dims
     expected = model_bytes(params)
     if len(buffer) != expected:
         raise ValueError(f"buffer is {len(buffer)} bytes, expected {expected}")
@@ -155,14 +173,23 @@ def deserialize(buffer: bytes) -> Tree:
         raise ValueError(f"root index {root} out of range")
 
     rec = _records(buffer, params, node_count)
-    scalars = ["kind", "frozen", "split_attr", "split_value", "left", "right", "since_last_attempt"]
+    topology = ["kind", "split_attr", "split_value", "left", "right"]
     class_counts, estimates = rec["class_counts"], rec["sketch_estimates"]
-    counts_differ = (rec["sketch_counts"] != class_counts[:, :, None]).any(axis=(1, 2))
+    counts_differ = (rec["sketch_counts"] != class_counts[:, :, None]).any(axis=(1, 2)).tolist()
     tree = Tree.__new__(Tree)
     tree.params = params
     tree.root = root
+    tree._routes = None
+    pool = tree._pool = _StatsPool(
+        params,
+        class_counts.astype(np.int64),
+        estimates.astype(np.float32),
+        rec["since_last_attempt"].astype(np.int64),
+        rec["frozen"] != 0,
+    )
+    bad_class = _bad_knot_classes(pool.sketch, pool.counts)
     arena: list[Node] = []
-    for i, (kind, frozen, attr, value, left, right, since) in enumerate(rec[scalars].tolist()):
+    for i, (kind, attr, value, left, right) in enumerate(rec[topology].tolist()):
         if kind == _KIND_INTERNAL:
             if left >= node_count or right >= node_count:
                 raise ValueError(f"node {i} has child index out of range")
@@ -178,12 +205,11 @@ def deserialize(buffer: bytes) -> Tree:
         elif kind == _KIND_LEAF:
             if counts_differ[i]:
                 raise ValueError(f"node {i} has sketch counts that differ from its class counts")
-            stats = LeafStats(params)
-            stats.class_counts[:] = class_counts[i]
-            stats.sketch_estimates[:] = estimates[i]
-            stats.frozen = bool(frozen)
-            stats.since_last_attempt = since
-            node = Node(stats)
+            if bad_class[i] >= 0:
+                raise ValueError(
+                    f"node {i} has non-finite or unsorted sketch knots for class {bad_class[i]}"
+                )
+            node = Node(LeafStats(params, pool, i))
         else:
             raise ValueError(f"node {i} has unknown kind {kind}")
         arena.append(node)
@@ -192,9 +218,33 @@ def deserialize(buffer: bytes) -> Tree:
     return tree
 
 
+def _bad_knot_classes(knots: np.ndarray, counts: np.ndarray) -> list[int]:
+    """Per record, the first seen class whose knots are not finite and sorted, or -1.
+
+    knots is (records, classes, dims, n_quantiles) and C-contiguous. Rows
+    of unseen classes are reseeded before any use, so they may hold
+    anything; the common case, a grid with no bad row at all, is settled
+    on the whole grid at once: every row sorted and the sum of all knots
+    finite. A snapshot is usually loaded with cold caches, where each
+    numpy call costs several microseconds, so the test makes few of them.
+    """
+    q = knots.shape[-1]
+    flat = knots.reshape(-1)
+    rising = flat[1:] >= flat[:-1]
+    # the last knot of each row is compared with the next row's first
+    rising[q - 1 :: q] = True
+    # a sum of finite knots is finite unless it overflows, and then the
+    # exact test below runs
+    if np.logical_and.reduce(rising) and math.isfinite(np.add.reduce(flat)):
+        return [-1] * len(knots)
+    good = np.isfinite(knots) & np.append(rising, True).reshape(knots.shape)
+    bad = ~good.all(axis=(2, 3)) & (counts > 0)
+    return np.where(bad.any(axis=1), bad.argmax(axis=1), -1).tolist()
+
+
 def _check_structure(arena: list[Node], root: int) -> None:
     # every slot reachable exactly once from the root, so descent terminates
-    seen = np.zeros(len(arena), dtype=bool)
+    seen = [False] * len(arena)
     stack = [root]
     while stack:
         idx = stack.pop()
@@ -204,6 +254,5 @@ def _check_structure(arena: list[Node], root: int) -> None:
         node = arena[idx]
         if node.stats is None:
             stack.extend((node.left, node.right))
-    if not seen.all():
-        orphan = int(np.flatnonzero(~seen)[0])
-        raise ValueError(f"node {orphan} is not reachable from the root")
+    if not all(seen):
+        raise ValueError(f"node {seen.index(False)} is not reachable from the root")

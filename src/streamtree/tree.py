@@ -30,6 +30,11 @@ __all__ = [
 ]
 
 
+# learn() works through its rows in blocks of at most this many, which bounds
+# its temporaries (a (rows, classes) count table among them)
+_BLOCK_ROWS = 8192
+
+
 @dataclass(frozen=True)
 class Hyperparams:
     """Tunable constants of the learner.
@@ -87,33 +92,138 @@ class Sample:
         self.features = np.asarray(self.features, dtype=np.float32)
 
 
+class _StatsPool:
+    """Leaf statistics of a whole arena: four arrays with one slot per node.
+
+    Slot i holds node i's class counts, its (classes, dims, n_quantiles)
+    sketch grid, its samples since the last split attempt and its frozen
+    flag. A leaf's LeafStats is a view of its slot; the slot of a node
+    that split keeps the statistics it had then, and nothing reads them.
+    """
+
+    __slots__ = ("counts", "sketch", "since", "frozen", "targets", "up", "down")
+
+    def __init__(self, params: Hyperparams, counts, sketch, since, frozen) -> None:
+        self.counts = counts  # int64 (slots, classes)
+        self.sketch = sketch  # f32 (slots, classes, dims, n_quantiles)
+        self.since = since  # int64 (slots,)
+        self.frozen = frozen  # bool (slots,)
+        self.targets = quantile_targets(params.n_quantiles)
+        self.up, self.down = _signum_steps(params.n_quantiles, params.lam)
+
+    @classmethod
+    def zeros(cls, params: Hyperparams, slots: int) -> "_StatsPool":
+        k, d, q = params.classes, params.dims, params.n_quantiles
+        return cls(
+            params,
+            np.zeros((slots, k), dtype=np.int64),
+            np.zeros((slots, k, d, q), dtype=np.float32),
+            np.zeros(slots, dtype=np.int64),
+            np.zeros(slots, dtype=bool),
+        )
+
+    def reserve(self, slots: int, limit: int) -> None:
+        """Make room for at least slots slots, growing by doubling up to limit.
+
+        New slots are zero. The arrays are replaced, so views taken before
+        a reserve() may be stale after it; LeafStats re-reads them.
+        """
+        have = len(self.since)
+        if slots <= have:
+            return
+        size = max(slots, min(2 * have, limit))
+        for name in ("counts", "sketch", "since", "frozen"):
+            old = getattr(self, name)
+            new = np.zeros((size,) + old.shape[1:], dtype=old.dtype)
+            new[:have] = old
+            setattr(self, name, new)
+
+    def absorb(self, slots: np.ndarray, labels: np.ndarray, x: np.ndarray) -> None:
+        """Fold row i of x, (rows, dims), into class labels[i] of slot slots[i], in order.
+
+        Rows of different (slot, class) pairs touch disjoint sketch rows, so
+        they are absorbed in waves: wave t takes the t-th row of every
+        pair, gathers the pairs' sketch rows into one (pairs, dims,
+        n_quantiles) block, applies one signum_update to it and scatters it
+        back. Each sketch row thus sees its samples in order and takes the
+        steps a loop over the rows would take. A pair's first sample ever
+        seeds every knot at the sample's value, so its own step moves
+        nothing.
+        """
+        classes = self.counts.shape[1]
+        cells = slots * classes + labels
+        sketch = self.sketch.reshape((-1,) + self.sketch.shape[2:])
+        counts = self.counts.reshape(-1)
+        if len(cells) > 1:
+            rank = _ranks(cells)
+            order = rank.argsort(kind="stable")
+            cells, x = cells[order], x[order]
+            bounds = np.bincount(rank).cumsum().tolist()
+        else:
+            bounds = [len(cells)]
+        begin = 0
+        for end in bounds:
+            wave, step = cells[begin:end], x[begin:end, :, None]
+            block = sketch[wave]
+            if begin == 0 and not counts[wave].all():
+                fresh = counts[wave] == 0
+                block[fresh] = step[fresh]
+            signum_update(block, step, self.up, self.down)
+            sketch[wave] = block
+            begin = end
+        np.add.at(counts, cells, 1)
+        np.add.at(self.since, slots, 1)
+
+
 class LeafStats:
     """Per-leaf class counts plus one quantile sketch per (class, attribute).
 
-    The sketch grid is stored as packed arrays, estimates with shape
-    (classes, dims, n_quantiles), so one training sample updates all dims
-    sketches of its label row in a single vectorized step. Semantics per
-    cell are identical to a standalone QuantileSketch fed the same scalars.
+    A view of one slot of a statistics pool: a tree's leaves view the
+    tree's pool, and LeafStats(params) makes a leaf of its own. The
+    sketch grid has shape (classes, dims, n_quantiles), so one training
+    sample updates all dims sketches of its label row in a single
+    vectorized step. Semantics per cell are identical to a standalone
+    QuantileSketch fed the same scalars.
+
+    class_counts and sketch_estimates return views into the pool's
+    arrays, which a split may replace to make room for its children: an
+    array taken from them is valid until the tree next splits. Read them
+    again after training rather than keeping them.
     """
 
-    __slots__ = (
-        "class_counts",
-        "sketch_estimates",
-        "since_last_attempt",
-        "frozen",
-        "_targets",
-        "_up",
-        "_down",
-    )
+    __slots__ = ("_pool", "_slot")
 
-    def __init__(self, params: Hyperparams) -> None:
-        k, d, q = params.classes, params.dims, params.n_quantiles
-        self.class_counts = np.zeros(k, dtype=np.int64)
-        self.sketch_estimates = np.zeros((k, d, q), dtype=np.float32)
-        self.since_last_attempt = 0
-        self.frozen = False
-        self._targets = quantile_targets(q)
-        self._up, self._down = _signum_steps(q, params.lam)
+    def __init__(self, params: Hyperparams, pool: _StatsPool | None = None, slot: int = 0) -> None:
+        self._pool = _StatsPool.zeros(params, 1) if pool is None else pool
+        self._slot = slot
+
+    @property
+    def class_counts(self) -> np.ndarray:
+        return self._pool.counts[self._slot]
+
+    @property
+    def sketch_estimates(self) -> np.ndarray:
+        return self._pool.sketch[self._slot]
+
+    @property
+    def since_last_attempt(self) -> int:
+        return int(self._pool.since[self._slot])
+
+    @since_last_attempt.setter
+    def since_last_attempt(self, value: int) -> None:
+        self._pool.since[self._slot] = value
+
+    @property
+    def frozen(self) -> bool:
+        return bool(self._pool.frozen[self._slot])
+
+    @frozen.setter
+    def frozen(self, value: bool) -> None:
+        self._pool.frozen[self._slot] = value
+
+    @property
+    def _targets(self) -> np.ndarray:
+        return self._pool.targets
 
     @property
     def total(self) -> int:
@@ -121,17 +231,11 @@ class LeafStats:
 
     def majority(self) -> int:
         """Most frequent class; ties and the empty leaf resolve to the lowest index."""
-        return int(np.argmax(self.class_counts))
+        return int(self._pool.counts[self._slot].argmax())
 
     def absorb(self, label: int, features: np.ndarray) -> None:
         """Fold one training sample into the counts and the label's sketch row."""
-        row = self.sketch_estimates[label]
-        if self.class_counts[label] == 0:
-            row[:] = features[:, None]
-        else:
-            signum_update(row, features[:, None], self._up, self._down)
-        self.class_counts[label] += 1
-        self.since_last_attempt += 1
+        self._pool.absorb(np.array([self._slot]), np.array([label]), np.asarray(features)[None])
 
     def cdf(self, label: int, attr: int, value: float) -> float:
         """Estimated P(x_attr <= value | class=label). Requires a seen class."""
@@ -155,6 +259,23 @@ class Node:
     @property
     def is_leaf(self) -> bool:
         return self.stats is not None
+
+
+def _run_starts(ordered: np.ndarray) -> np.ndarray:
+    """For each entry of a sorted array, the index where its run of equal values starts."""
+    start = np.ones(len(ordered), dtype=bool)
+    start[1:] = ordered[1:] != ordered[:-1]
+    return np.maximum.accumulate(np.where(start, np.arange(len(ordered)), 0))
+
+
+def _ranks(keys: np.ndarray) -> np.ndarray:
+    """How many earlier entries share each entry's key."""
+    if len(keys) < 2:
+        return np.zeros(len(keys), dtype=np.intp)
+    order = keys.argsort(kind="stable")
+    rank = np.empty(len(keys), dtype=np.intp)
+    rank[order] = np.arange(len(keys)) - _run_starts(keys[order])
+    return rank
 
 
 def hoeffding_bound(range_r: float, delta: float, n: int) -> float:
@@ -353,13 +474,17 @@ class Tree:
     """Fixed-capacity incremental decision tree.
 
     The arena never exceeds max_nodes entries; a fresh tree is a single
-    empty leaf. One writer at a time; infer and sort_to_leaf never mutate.
+    empty leaf. Leaf statistics live in one pool indexed by node, which
+    arena[i].stats views; it holds a slot per node and grows on split.
+    One writer at a time; infer and sort_to_leaf never mutate.
     """
 
     def __init__(self, params: Hyperparams) -> None:
         self.params = params
-        self.arena: list[Node] = [Node(LeafStats(params))]
+        self._pool = _StatsPool.zeros(params, 1)
+        self.arena: list[Node] = [Node(LeafStats(params, self._pool, 0))]
         self.root = 0
+        self._routes: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     @property
     def node_count(self) -> int:
@@ -395,7 +520,8 @@ class Tree:
         """Absorb one flagged training sample; returns the pre-update prediction.
 
         After the grace period (n_min samples since the last attempt) the
-        routed leaf re-evaluates its split decision, unless frozen.
+        routed leaf re-evaluates its split decision, unless frozen. The
+        one-row case of learn().
         """
         if not sample.train:
             raise ValueError("sample is not flagged for training")
@@ -405,14 +531,164 @@ class Tree:
                 f"label {label} out of range for {self.params.classes} classes"
             )
         x = self._check_features(sample.features)
-        leaf_idx = self._descend(x)
-        stats = self.arena[leaf_idx].stats
-        prediction = stats.majority()
-        stats.absorb(label, x)
-        if stats.since_last_attempt >= self.params.n_min and not stats.frozen:
-            stats.since_last_attempt = 0
-            self.attempt_split(leaf_idx)
-        return prediction
+        return int(self._learn(x[None], np.array([label]), np.array([True]))[0])
+
+    def learn(self, X, labels, train_mask) -> np.ndarray:
+        """Infer-then-train over rows in order; returns each row's answer.
+
+        Row i is answered by the tree that the train rows before it left:
+        the pre-update prediction for a train row, a pure inference for the
+        others, whose labels are ignored. The answers and the tree are
+        exactly those of one train() or infer() call per row. Every row is
+        checked before the tree changes; a ValueError names the first bad
+        sample.
+        """
+        dims, classes = self.params.dims, self.params.classes
+        X = np.asarray(X, dtype=np.float32)
+        if X.ndim != 2 or X.shape[1] != dims:
+            raise ValueError(f"expected rows of {dims} features, got shape {X.shape}")
+        n = len(X)
+        train = np.asarray(train_mask)
+        if train.shape != (n,) or train.dtype != bool:
+            raise ValueError(f"train_mask must be {n} bools, got {train.dtype} {train.shape}")
+        labels = np.asarray(labels)
+        if labels.shape != (n,) or labels.dtype.kind not in "iub":
+            raise ValueError(f"labels must be {n} integers, got {labels.dtype} {labels.shape}")
+        labels = np.where(train, labels, 0)
+        finite = np.isfinite(X).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"sample {int(np.argmin(finite))}: features must be finite")
+        bad = (labels < 0) | (labels >= classes)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"sample {i}: label {labels[i]} out of range for {classes} classes")
+        return self._learn(X, labels.astype(np.intp), train)
+
+    def _learn(self, X: np.ndarray, labels: np.ndarray, train: np.ndarray) -> np.ndarray:
+        """learn() on checked rows, a block of at most _BLOCK_ROWS at a time."""
+        out = np.empty(len(X), dtype=np.intp)
+        for start in range(0, len(X), _BLOCK_ROWS):
+            rows = slice(start, start + _BLOCK_ROWS)
+            out[rows] = self._learn_block(X[rows], labels[rows], train[rows])
+        return out
+
+    def _learn_block(self, X: np.ndarray, labels: np.ndarray, train: np.ndarray) -> np.ndarray:
+        """Route, answer and absorb rows segment by segment.
+
+        The tree's structure can only change at a split attempt, so the
+        rows are cut after each row that brings a non-frozen leaf to n_min
+        samples since its last attempt. Within a segment every row routes
+        to the leaf it would reach alone, and rows at different leaves, or
+        of different classes, touch disjoint statistics, so the segment's
+        train rows are absorbed in waves: wave t takes the t-th row of
+        every (leaf, class) pair. A split re-routes only the later rows at
+        the split leaf, one level down, into the two fresh children.
+        """
+        pool = self._pool
+        leaf = self._route(X)
+        trigger = self._attempt_rows(leaf, train)
+        out = np.empty(len(X), dtype=np.intp)
+        start = 0
+        while start < len(X):
+            end = start + int(trigger[start:].argmax())
+            attempt = bool(trigger[end])
+            if not attempt:
+                end = len(X) - 1
+            seg = slice(start, end + 1)
+            out[seg] = self._answers(leaf[seg], labels[seg], train[seg])
+            rows = start + train[seg].nonzero()[0]
+            if rows.size:
+                pool.absorb(leaf[rows], labels[rows], X[rows])
+            start = end + 1
+            if attempt:
+                idx = int(leaf[end])
+                pool.since[idx] = 0
+                self.attempt_split(idx)
+                node = self.arena[idx]
+                later = start + (leaf[start:] == idx).nonzero()[0]
+                if node.stats is None:
+                    left = X[later, node.split_attr] <= node.split_value
+                    leaf[later] = np.where(left, node.left, node.right)
+                    trigger[later] = self._attempt_rows(leaf[later], train[later])
+                elif pool.frozen[idx]:
+                    trigger[later] = False
+        return out
+
+    def _routing_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Split attribute, threshold and (left, right) children of every node.
+
+        A leaf's children are the leaf itself. Built from the arena on
+        first use after a split or a load, so lockstep routing pays for it
+        once per tree shape, not once per call.
+        """
+        if self._routes is None:
+            arena = self.arena
+            self._routes = (
+                np.array([n.split_attr for n in arena], dtype=np.intp),
+                np.array([n.split_value for n in arena], dtype=np.float32),
+                np.array(
+                    [(i, i) if n.stats is not None else (n.left, n.right) for i, n in enumerate(arena)],
+                    dtype=np.intp,
+                ),
+            )
+        return self._routes
+
+    def _route(self, X: np.ndarray) -> np.ndarray:
+        """Leaf index of every row, by lockstep descent from the root.
+
+        Each step moves every row one level down the routing table, where
+        a leaf leads to itself, until no row moves; a step costs a few
+        numpy calls whatever the row count. A lone row, the case of
+        train(), descends on its own, which makes the same comparisons
+        without those calls.
+        """
+        if len(X) == 1:
+            return np.array([self._descend(X[0])], dtype=np.intp)
+        attr, value, child = self._routing_table()
+        rows = np.arange(len(X))
+        leaf = np.full(len(X), self.root, dtype=np.intp)
+        while True:
+            step = child[leaf, (X[rows, attr[leaf]] > value[leaf]).view(np.int8)]
+            if (step == leaf).all():
+                return leaf
+            leaf = step
+
+    def _attempt_rows(self, leaf: np.ndarray, train: np.ndarray) -> np.ndarray:
+        """Mask of the rows after which their leaf attempts a split.
+
+        A non-frozen leaf attempts when its count of samples since the last
+        attempt reaches n_min, and the attempt resets the count. So the
+        c-th train row at a leaf whose count stands at s attempts when
+        min(s, n_min - 1) + c is a multiple of n_min (a snapshot may hold a
+        count past n_min, which attempts at the next row). The mask holds
+        while the leaf stays a non-frozen leaf; the caller updates it when
+        an attempt splits or freezes the leaf.
+        """
+        pool, n_min = self._pool, self.params.n_min
+        rows = (train & ~pool.frozen[leaf]).nonzero()[0]
+        at = leaf[rows]
+        since = np.minimum(pool.since[at], n_min - 1) + _ranks(at) + 1
+        mask = np.zeros(len(leaf), dtype=bool)
+        mask[rows] = since % n_min == 0
+        return mask
+
+    def _answers(self, leaf: np.ndarray, labels: np.ndarray, train: np.ndarray) -> np.ndarray:
+        """Each row's prediction, given the segment's earlier train rows.
+
+        Row i sees its leaf's counts as the segment began plus the labels
+        of the segment's earlier train rows at that leaf, a running count
+        per leaf; argmax ties go to the lowest class, as in majority().
+        """
+        counts = self._pool.counts[leaf]
+        rows = train[:-1].nonzero()[0]
+        if rows.size:
+            order = leaf.argsort(kind="stable")
+            onehot = np.zeros(counts.shape, dtype=np.int64)
+            onehot[rows, labels[rows]] = 1
+            onehot = onehot[order]
+            before = onehot.cumsum(axis=0) - onehot
+            counts[order] += before - before[_run_starts(leaf[order])]
+        return counts.argmax(axis=1)
 
     def attempt_split(self, leaf_idx: int) -> tuple[int, float] | None:
         """Split the leaf if the Hoeffding bound justifies it.
@@ -459,8 +735,10 @@ class Tree:
         node.split_value = float(np.float32(value))
         node.left = len(self.arena)
         node.right = len(self.arena) + 1
-        self.arena.append(Node(LeafStats(self.params)))
-        self.arena.append(Node(LeafStats(self.params)))
+        self._routes = None
+        self._pool.reserve(node.right + 1, self.params.max_nodes)
+        self.arena.append(Node(LeafStats(self.params, self._pool, node.left)))
+        self.arena.append(Node(LeafStats(self.params, self._pool, node.right)))
 
     def leaf_indices(self) -> list[int]:
         return [i for i, n in enumerate(self.arena) if n.stats is not None]

@@ -226,3 +226,44 @@ def test_since_last_attempt_saturates_on_the_wire():
     back = deserialize(buf)
     assert back.arena[3].stats.since_last_attempt == 2**32 - 1
     assert serialize(back) == buf
+
+
+@pytest.mark.parametrize("value,knot", [(np.nan, 1), (np.inf, -1), (-np.inf, 0)])
+def test_deserialize_rejects_non_finite_knot_of_a_seen_class(value, knot):
+    # +inf last and -inf first keep the row sorted, so only the finiteness
+    # test can catch them
+    tree = hand_built_tree()
+    buf, rec = editable(serialize(tree), tree)
+    assert rec["class_counts"][1, 0] > 0
+    rec["sketch_estimates"][1, 0, 1, knot] = value
+    with pytest.raises(ValueError, match="node 1 has non-finite or unsorted sketch knots for class 0"):
+        deserialize(buf)
+
+
+def test_deserialize_rejects_unsorted_knots_of_a_seen_class():
+    tree = hand_built_tree()
+    buf, rec = editable(serialize(tree), tree)
+    row = rec["sketch_estimates"][4, 2, 0]
+    j = int(np.argmax(row[1:] > row[:-1]))
+    assert row[j] < row[j + 1]
+    row[[j, j + 1]] = row[[j + 1, j]]
+    with pytest.raises(ValueError, match="node 4 has non-finite or unsorted sketch knots for class 2"):
+        deserialize(buf)
+
+
+def test_deserialize_ignores_knots_of_unseen_classes():
+    # an unseen class's row is reseeded by its first sample before any use
+    tree = hand_built_tree()
+    buf, rec = editable(serialize(tree), tree)
+    assert rec["class_counts"][4, 1] == 0
+    rec["sketch_estimates"][4, 1, 0] = [np.nan, 3.0, -np.inf, 1.0]
+    assert serialize(deserialize(bytes(buf))) == bytes(buf)
+
+
+def test_tau_sign_survives_loading_after_the_other_sign():
+    # 0.0 and -0.0 compare equal, so a cache keyed on header values would
+    # hand the second header the first one's tau
+    bufs = [serialize(Tree(Hyperparams(dims=2, classes=3, tau=tau, max_nodes=7))) for tau in (0.0, -0.0)]
+    assert bufs[0] != bufs[1]
+    for buf in bufs + bufs[::-1]:
+        assert serialize(deserialize(buf)) == buf
