@@ -127,41 +127,43 @@ def load_csv(path, schema: CsvSchema) -> list[Sample]:
         needed = max(max(feature_idx), label_idx) + 1
         for cat in categorical_idx:
             cat_codes[cat] = {}
-        for row in reader:
-            if not row:
-                continue
-            line = reader.line_num
-            if len(row) < needed:
-                raise ValueError(
-                    f"line {line}: row has {len(row)} fields, need {needed}"
-                )
-            features = np.empty(dims, dtype=np.float32)
-            for j, col in enumerate(feature_idx):
-                cell = row[col]
-                if col in categorical_idx:
-                    codes = cat_codes[col]
-                    features[j] = codes.setdefault(cell, len(codes))
-                else:
-                    try:
-                        features[j] = float(cell)
-                    except ValueError:
-                        raise ValueError(
-                            f"line {line}: non-numeric value {cell!r} "
-                            f"in column {schema.features[j]!r}"
-                        ) from None
-            if not np.isfinite(features).all():
-                j = int(np.flatnonzero(~np.isfinite(features))[0])
-                raise ValueError(
-                    f"line {line}: non-finite value {row[feature_idx[j]]!r} "
-                    f"in column {schema.features[j]!r}"
-                )
-            label = label_codes.setdefault(row[label_idx], len(label_codes))
-            if schema.classes is not None and label >= schema.classes:
-                raise ValueError(
-                    f"line {line}: label {row[label_idx]!r} raises cardinality "
-                    f"above {schema.classes}"
-                )
-            samples.append(Sample(features, label, True))
+        # a cell past the f32 range casts to inf, reported below as non-finite
+        with np.errstate(over="ignore"):
+            for row in reader:
+                if not row:
+                    continue
+                line = reader.line_num
+                if len(row) < needed:
+                    raise ValueError(
+                        f"line {line}: row has {len(row)} fields, need {needed}"
+                    )
+                features = np.empty(dims, dtype=np.float32)
+                for j, col in enumerate(feature_idx):
+                    cell = row[col]
+                    if col in categorical_idx:
+                        codes = cat_codes[col]
+                        features[j] = codes.setdefault(cell, len(codes))
+                    else:
+                        try:
+                            features[j] = float(cell)
+                        except ValueError:
+                            raise ValueError(
+                                f"line {line}: non-numeric value {cell!r} "
+                                f"in column {schema.features[j]!r}"
+                            ) from None
+                if not np.isfinite(features).all():
+                    j = int(np.flatnonzero(~np.isfinite(features))[0])
+                    raise ValueError(
+                        f"line {line}: non-finite value {row[feature_idx[j]]!r} "
+                        f"in column {schema.features[j]!r}"
+                    )
+                label = label_codes.setdefault(row[label_idx], len(label_codes))
+                if schema.classes is not None and label >= schema.classes:
+                    raise ValueError(
+                        f"line {line}: label {row[label_idx]!r} raises cardinality "
+                        f"above {schema.classes}"
+                    )
+                samples.append(Sample(features, label, True))
     return samples
 
 

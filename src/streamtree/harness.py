@@ -11,13 +11,13 @@ single train() and infer() calls.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .serialize import model_bytes
-from .tree import Hyperparams, Sample, Tree
+from .tree import Hyperparams, Sample, Tree, _as_f32
 
 __all__ = [
     "Bundle",
@@ -68,7 +68,7 @@ def _rows(tree: Tree, samples: Sequence[Sample]):
     dims, classes = tree.params.dims, tree.params.classes
     flags = [s.train for s in samples]
     try:
-        X = np.array([s.features for s in samples], dtype=np.float32)
+        X = _as_f32(np.array([s.features for s in samples]))
         labels = np.array([s.label if f else 0 for s, f in zip(samples, flags)])
         ok = X.shape == (len(samples), dims) and labels.dtype.kind in "iub"
     except (TypeError, ValueError):
@@ -80,7 +80,7 @@ def _rows(tree: Tree, samples: Sequence[Sample]):
     labels = np.zeros(len(samples), dtype=np.int64)
     for i, s in enumerate(samples):
         try:
-            x = np.asarray(s.features, dtype=np.float32)
+            x = _as_f32(s.features)
         except (TypeError, ValueError):
             raise ValueError(f"sample {i}: features are not numbers") from None
         if x.shape != (dims,):
@@ -125,29 +125,13 @@ class PrequentialReport:
     windowed_accuracy: list[tuple[int, float]] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "correct": self.correct,
-            "accuracy": self.accuracy,
-            "train_time": self.train_time,
-            "infer_time": self.infer_time,
-            "final_node_count": self.final_node_count,
-            "model_bytes": self.model_bytes,
-            "windowed_accuracy": [[end, acc] for end, acc in self.windowed_accuracy],
-        }
+        return {**asdict(self), "windowed_accuracy": [[end, acc] for end, acc in self.windowed_accuracy]}
 
     @classmethod
     def from_dict(cls, data: dict) -> "PrequentialReport":
-        return cls(
-            total=data["total"],
-            correct=data["correct"],
-            accuracy=data["accuracy"],
-            train_time=data["train_time"],
-            infer_time=data["infer_time"],
-            final_node_count=data["final_node_count"],
-            model_bytes=data["model_bytes"],
-            windowed_accuracy=[(int(e), float(a)) for e, a in data["windowed_accuracy"]],
-        )
+        values = {f.name: data[f.name] for f in fields(cls)}
+        values["windowed_accuracy"] = [(int(e), float(a)) for e, a in data["windowed_accuracy"]]
+        return cls(**values)
 
 
 def run_prequential(
@@ -165,7 +149,8 @@ def run_prequential(
     Every sample is checked before the tree changes, so a bad one raises a
     ValueError naming its index and leaves the tree as it was. Wall-clock
     timing covers checking and training; when time_inference is set, a
-    second read-only pass over the stream measures inference time.
+    second read-only pass, one predict() of the whole stream, measures
+    inference time.
     """
     if not stream:
         raise ValueError("stream is empty")
@@ -190,8 +175,7 @@ def run_prequential(
     infer_time = 0.0
     if time_inference:
         start = time.perf_counter()
-        for sample in stream:
-            tree.infer(sample.features)
+        tree.predict(X)
         infer_time = time.perf_counter() - start
 
     return PrequentialReport(

@@ -11,10 +11,12 @@ updated in place. Layout:
 
 Unused arena slots and unused fields (split data on leaves, statistics on
 internal nodes) are zero-filled, which makes re-serialization byte-stable
-and the total size an exact closed form. A leaf's sketch counts are not
-kept live: every sketch of a class row has absorbed exactly that class's
-samples, so they are written from the class counts and checked against
-them on load.
+and the total size an exact closed form. The live tree keeps its nodes in
+records of this layout: serialize() copies the used records and fills in
+the sketch counts, which equal the class counts (every sketch of a class
+row has absorbed that class's samples), and the samples since the last
+split attempt, saturated at 2^32 - 1; deserialize() checks the records
+and keeps one canonical copy of them as the live records.
 """
 
 from __future__ import annotations
@@ -22,10 +24,12 @@ from __future__ import annotations
 import math
 import struct
 from functools import lru_cache
+from itertools import chain
+from operator import gt
 
 import numpy as np
 
-from .tree import Hyperparams, LeafStats, Node, Tree, _StatsPool
+from .tree import _KIND_INTERNAL, _KIND_LEAF, Hyperparams, Tree, _record_dtype, _Records
 
 __all__ = ["serialize", "deserialize", "model_bytes", "node_record_bytes"]
 
@@ -34,52 +38,43 @@ FORMAT_VERSION = 1
 
 _HEADER = struct.Struct("<4sH8I3f")
 
-_KIND_LEAF = 0
-_KIND_INTERNAL = 1
+# the record fields an internal node uses; a leaf uses all the others
+_SPLIT_FIELDS = ("split_attr", "split_value", "left", "right")
 
 
 @lru_cache(maxsize=16)
-def _record_dtype(dims: int, classes: int, n_quantiles: int) -> np.dtype:
-    """The node record: packed, little-endian, one field per wire field."""
-    return np.dtype([
-        ("kind", "u1"),
-        ("frozen", "u1"),
-        ("split_attr", "<u4"),
-        ("split_value", "<f4"),
-        ("left", "<u4"),
-        ("right", "<u4"),
-        ("class_counts", "<u8", (classes,)),
-        ("sketch_estimates", "<f4", (classes, dims, n_quantiles)),
-        ("sketch_counts", "<u8", (classes, dims)),
-        ("since_last_attempt", "<u4"),
-    ])
+def _load_plan(header: bytes) -> tuple:
+    """A header's Hyperparams and record layout, built and checked once per distinct header.
 
-
-@lru_cache(maxsize=16)
-def _params(header: bytes) -> Hyperparams:
-    """The hyperparameters of a header, validated once per distinct header.
-
-    A device sync reloads snapshots of one model again and again; building
-    and checking a Hyperparams costs more than this lookup. The key is the
-    header's bytes, not its values, which would let a tau of -0.0 come
-    back as a cached 0.0. Invalid values raise every time, since
-    lru_cache keeps no exceptions.
+    A device sync reloads one model again and again. The key is the
+    header's bytes, not its values, which would let a tau of -0.0 come back
+    as a cached 0.0; invalid values raise every time. Besides the params and
+    the live dtype: keep, a byte row per kind, 255 on the bytes the kind
+    uses, 0 on the others and 1 on a leaf's frozen byte; and views of a
+    record as bytes, as its kind and split fields, and as its u64 counts.
     """
-    (
-        _, _, max_nodes, dims, classes, n_quantiles,
-        n_pt, n_min, _, _, delta, lam, tau,
-    ) = _HEADER.unpack(header)
-    return Hyperparams(
-        dims=dims,
-        classes=classes,
-        delta=float(delta),
-        lam=float(lam),
-        tau=float(tau),
-        n_min=n_min,
-        n_pt=n_pt,
-        n_quantiles=n_quantiles,
-        max_nodes=max_nodes,
+    _, _, max_nodes, dims, classes, n_quantiles, n_pt, n_min, _, _, delta, lam, tau = (
+        _HEADER.unpack(header))
+    params = Hyperparams(
+        dims=dims, classes=classes, delta=float(delta), lam=float(lam), tau=float(tau),
+        n_min=n_min, n_pt=n_pt, n_quantiles=n_quantiles, max_nodes=max_nodes,
     )
+    wire = _record_dtype(dims, classes, n_quantiles)
+    keep = np.zeros((2, wire.itemsize), dtype=np.uint8)
+    for name, (field, offset) in wire.fields.items():
+        span = slice(offset, offset + field.itemsize)
+        keep[_KIND_LEAF, span] = 0 if name in _SPLIT_FIELDS else 1 if name == "frozen" else 255
+        keep[_KIND_INTERNAL, span] = 255 if name == "kind" or name in _SPLIT_FIELDS else 0
+
+    def view(names, formats):
+        return np.dtype({"names": names, "formats": formats, "itemsize": wire.itemsize,
+                         "offsets": [wire.fields[f][1] for f in names]})
+
+    topology = ["kind", *_SPLIT_FIELDS]
+    return (params, _record_dtype(dims, classes, n_quantiles, live=True), keep,
+            np.dtype((np.uint8, (wire.itemsize,))), view(topology, [wire[f] for f in topology]),
+            # class counts shaped to broadcast against their sketch counts
+            view(["class_counts", "sketch_counts"], [("<u8", (classes, 1)), ("<u8", (classes, dims))]))
 
 
 def node_record_bytes(dims: int, classes: int, n_quantiles: int) -> int:
@@ -88,13 +83,9 @@ def node_record_bytes(dims: int, classes: int, n_quantiles: int) -> int:
 
 
 def model_bytes(params: Hyperparams) -> int:
-    """Exact serialized size of a tree with the given parameters.
-
-    Affine in max_nodes: header plus max_nodes identical node records.
-    """
+    """Exact serialized size: header plus max_nodes identical node records."""
     return _HEADER.size + params.max_nodes * node_record_bytes(
-        params.dims, params.classes, params.n_quantiles
-    )
+        params.dims, params.classes, params.n_quantiles)
 
 
 def _records(buffer, params: Hyperparams, count: int) -> np.ndarray:
@@ -106,60 +97,27 @@ def _records(buffer, params: Hyperparams, count: int) -> np.ndarray:
 def serialize(tree: Tree) -> bytes:
     """Snapshot the whole arena, including empty capacity, into one buffer.
 
-    The header and the node_count used records are packed into a buffer of
-    just their size, which one ljust pads with zeros to model_bytes: the
-    full-size buffer is allocated and written once.
-    """
-    p = tree.params
-    record = node_record_bytes(p.dims, p.classes, p.n_quantiles)
-    buf = bytearray(_HEADER.size + tree.node_count * record)
-    _HEADER.pack_into(
-        buf,
-        0,
-        MAGIC,
-        FORMAT_VERSION,
-        p.max_nodes,
-        p.dims,
-        p.classes,
-        p.n_quantiles,
-        p.n_pt,
-        p.n_min,
-        tree.node_count,
-        tree.root,
-        p.delta,
-        p.lam,
-        p.tau,
-    )
-    rec = _records(buf, p, tree.node_count)
-    arena = tree.arena
-    internal = [i for i, node in enumerate(arena) if node.stats is None]
-    leaves = [i for i, node in enumerate(arena) if node.stats is not None]
-    rec["kind"][internal] = _KIND_INTERNAL
-    for field in ("split_attr", "split_value", "left", "right"):
-        rec[field][internal] = [getattr(arena[i], field) for i in internal]
-    # split fields on leaves and statistics on internal nodes stay zero
-    pool = tree._pool
-    class_counts = pool.counts[leaves]
-    rec["frozen"][leaves] = pool.frozen[leaves]
-    rec["class_counts"][leaves] = class_counts
-    rec["sketch_estimates"][leaves] = pool.sketch[leaves]
+    The header and a copy of the used records, with their two derived fields
+    filled in, are padded with zeros to model_bytes by one ljust: the
+    full-size buffer is allocated and written once."""
+    p, n, pool = tree.params, tree.node_count, tree._pool
+    buf = bytearray(_HEADER.pack(
+        MAGIC, FORMAT_VERSION, p.max_nodes, p.dims, p.classes, p.n_quantiles,
+        p.n_pt, p.n_min, n, tree.root, p.delta, p.lam, p.tau,
+    )) + pool.array[:n].tobytes()
+    rec = _records(buf, p, n)
     # every absorbed sample updates all dims sketches of its label's row
-    rec["sketch_counts"][leaves] = class_counts[:, :, None]
+    rec["sketch_counts"] = rec["class_counts"][:, :, None]
     # only a frozen leaf counts this far, and it never attempts a split again
-    rec["since_last_attempt"][leaves] = np.minimum(pool.since[leaves], 2**32 - 1)
+    rec["since_last_attempt"] = np.minimum(pool.since[:n], 2**32 - 1)
     return bytes(buf).ljust(model_bytes(p), b"\0")
 
 
 def deserialize(buffer: bytes) -> Tree:
-    """Rebuild a tree from a serialize() buffer.
+    """Rebuild a tree from a serialize() buffer, or raise a ValueError naming the fault.
 
-    Rejects bad magic, unknown versions, truncated or oversized buffers,
-    headers whose fields violate the hyperparameter invariants, and node
-    records that name a missing child or attribute, hold a non-finite
-    threshold, carry a class count of 2^63 or more or sketch counts that
-    differ from their class counts, or hold a non-finite or unsorted knot
-    in the sketch row of a class their leaf has seen.
-    """
+    README.md ("Snapshot format") lists the checks. The tree keeps one copy
+    of the records, made canonical: see _load_plan's keep."""
     if len(buffer) < _HEADER.size:
         raise ValueError("buffer too short for header")
     header = bytes(buffer[: _HEADER.size])
@@ -168,122 +126,118 @@ def deserialize(buffer: bytes) -> Tree:
         raise ValueError(f"bad magic {magic!r}")
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported format version {version}")
-    params = _params(header)
+    params, dtype, keep, row, topology, counts = _load_plan(header)
     max_nodes, dims = params.max_nodes, params.dims
-    expected = model_bytes(params)
+    expected = _HEADER.size + max_nodes * dtype.itemsize
     if len(buffer) != expected:
         raise ValueError(f"buffer is {len(buffer)} bytes, expected {expected}")
     if not 1 <= node_count <= max_nodes:
         raise ValueError(f"node_count {node_count} outside [1, {max_nodes}]")
-    if root >= node_count:
-        raise ValueError(f"root index {root} out of range")
+    if root != 0:
+        raise ValueError(f"root index {root} is not 0")
 
-    rec = _records(buffer, params, node_count)
-    topology = ["kind", "split_attr", "split_value", "left", "right"]
-    class_counts, estimates = rec["class_counts"], rec["sketch_estimates"]
+    raw = np.frombuffer(buffer, row, node_count, _HEADER.size)
+    kind = raw[:, 0]
+    # one pass copies the records and makes them canonical
+    try:
+        canonical = keep.take(kind, 0)
+    except IndexError:
+        i = int((kind > _KIND_INTERNAL).argmax())
+        raise ValueError(f"node {i} has unknown kind {kind[i]}") from None
+    np.minimum(raw, canonical, out=canonical)
+    live = np.frombuffer(canonical, dtype)
+
+    # frombuffer skips the field checks ndarray.view makes
+    nodes = np.frombuffer(canonical, topology).tolist()
+    _check_topology(nodes, dims)
+    _check_counts(np.frombuffer(canonical, counts))
+    _check_knots(live)
     tree = Tree.__new__(Tree)
     tree.params = params
-    tree.root = root
-    tree._routes = None
-    pool = tree._pool = _StatsPool(
-        params,
-        class_counts.astype(np.int64),
-        estimates.astype(np.float32),
-        rec["since_last_attempt"].astype(np.int64),
-        rec["frozen"].astype(bool),
-    )
-    count_fault = _count_faults(rec["sketch_counts"], class_counts, pool.counts)
-    bad_class = _bad_knot_classes(pool.sketch, pool.counts)
-    arena: list[Node] = []
-    for i, (kind, attr, value, left, right) in enumerate(rec[topology].tolist()):
-        if kind == _KIND_INTERNAL:
-            if left >= node_count or right >= node_count:
-                raise ValueError(f"node {i} has child index out of range")
-            if attr >= dims:
-                raise ValueError(f"node {i} splits on attribute {attr}, beyond dims {dims}")
-            if not math.isfinite(value):
-                raise ValueError(f"node {i} has non-finite threshold {value}")
-            node = Node()
-            node.split_attr = attr
-            node.split_value = value
-            node.left = left
-            node.right = right
-        elif kind == _KIND_LEAF:
-            if count_fault[i]:
-                raise ValueError(f"node {i} has {count_fault[i]}")
-            if bad_class[i] >= 0:
-                raise ValueError(
-                    f"node {i} has non-finite or unsorted sketch knots for class {bad_class[i]}"
-                )
-            node = Node(LeafStats(params, pool, i))
-        else:
-            raise ValueError(f"node {i} has unknown kind {kind}")
-        arena.append(node)
-    _check_structure(arena, root)
-    tree.arena = arena
+    tree._pool = _Records(params, live, live["since_last_attempt"].astype(np.int64))
+    tree._nodes = nodes
     return tree
 
 
-def _count_faults(
-    sketch_counts: np.ndarray, class_counts: np.ndarray, counts: np.ndarray
-) -> list[str | None]:
-    """Per record, what is wrong with its counts, or None.
+def _check_topology(nodes: list[tuple], dims: int) -> None:
+    """Check canonical records' (kind, split_attr, split_value, left, right) tuples.
 
-    sketch_counts (records, classes, dims) and class_counts are the wire's
-    u64 fields, counts the live int64 copy of class_counts. Every sketch of
-    a class row has absorbed that class's samples, so its count must equal
-    the class count; and a class count of 2^63 or more would wrap negative
-    in the live counts. As in _bad_knot_classes, the common case is settled
-    on the whole arrays at once.
+    serialize() writes children after their parent, so every child index
+    must be above its parent's and every node but the root, node 0, must
+    have exactly one parent; then following parents strictly lowers the
+    index down to the root, and no descent loops. The common case takes a
+    few whole-list builtins, cheaper on a cold cache than numpy calls.
     """
-    differ = sketch_counts != class_counts[:, :, None]
-    if not np.count_nonzero(differ) and np.minimum.reduce(counts, axis=None) >= 0:
-        return [None] * len(counts)
-    wrapped = (counts < 0).any(axis=1).tolist()
-    differ = differ.any(axis=(1, 2)).tolist()
-    return [
-        "a class count of 2^63 or more" if w
-        else "sketch counts that differ from its class counts" if d
-        else None
-        for w, d in zip(wrapped, differ)
-    ]
+    n = len(nodes)
+    kinds, attrs, values, lefts, rights = zip(*nodes)
+    if max(attrs) >= dims:
+        i = next(i for i, a in enumerate(attrs) if a >= dims)
+        raise ValueError(f"node {i} splits on attribute {attrs[i]}, beyond dims {dims}")
+    # an f64 sum of f32 values is finite exactly when every value is
+    if not math.isfinite(sum(values)):
+        i = next(i for i, v in enumerate(values) if not math.isfinite(v))
+        raise ValueError(f"node {i} has non-finite threshold {values[i]}")
+    internal = kinds.count(_KIND_INTERNAL)
+    children = lefts + rights
+    # n - 1 internal children cover 1..n-1 once each, and lie above their parent
+    if (2 * internal != n - 1 or len(set(children)) != n or max(children) >= n
+            or sum(map(gt, children, chain(range(n), range(n)))) != 2 * internal):
+        idx, children = np.arange(n), np.array((lefts, rights)).T
+        bad = children.max(axis=1) >= n
+        if bad.any():
+            raise ValueError(f"node {int(bad.argmax())} has child index out of range")
+        internal = np.array(kinds, dtype=bool)
+        # parents per node, less the one every node but the root needs
+        excess = np.bincount(children[internal].ravel(), minlength=n) - (idx > 0)
+        if excess.any():
+            i = int(np.flatnonzero(excess)[0])
+            if excess[i] > 0:
+                raise ValueError(f"node {i} is reachable twice (cycle or shared child)")
+            raise ValueError(f"node {i} is not reachable from the root")
+        i = int(((children.min(axis=1) > idx) != internal).argmax())
+        raise ValueError(f"node {i} has a child at or before its own index")
 
 
-def _bad_knot_classes(knots: np.ndarray, counts: np.ndarray) -> list[int]:
-    """Per record, the first seen class whose knots are not finite and sorted, or -1.
+def _check_counts(rec: np.ndarray) -> None:
+    """Reject the first record whose counts are wrong; rec views them as u64.
 
-    knots is (records, classes, dims, n_quantiles) and C-contiguous. Rows
-    of unseen classes are reseeded before any use, so they may hold
-    anything; the common case, a grid with no bad row at all, is settled
-    on the whole grid at once: every row sorted and the sum of all knots
-    finite. A snapshot is usually loaded with cold caches, where each
-    numpy call costs several microseconds, so the test makes few of them.
+    Every sketch of a class row has absorbed that class's samples, so its
+    count must equal the class count, and a count of 2^63 or more would
+    wrap in the live int64 counts. The common case takes two ufunc
+    reductions over the whole arrays: loads meet cold caches, where each
+    numpy call costs several microseconds.
     """
+    counts = rec["class_counts"]
+    differ = rec["sketch_counts"] != counts
+    if not np.logical_or.reduce(differ, axis=None) and np.maximum.reduce(counts, axis=None) < 2**63:
+        return
+    wrapped = (counts >= 2**63).any(axis=(1, 2))
+    i = int(np.argmax(wrapped | differ.any(axis=(1, 2))))
+    if wrapped[i]:
+        raise ValueError(f"node {i} has a class count of 2^63 or more")
+    raise ValueError(f"node {i} has sketch counts that differ from its class counts")
+
+
+def _check_knots(live: np.ndarray) -> None:
+    """Reject the first seen class whose knots are not finite and sorted.
+
+    Rows of unseen classes are reseeded before any use, so they may hold
+    anything. The common case is settled on an aligned copy of the whole
+    grid, faster than the records' unaligned floats: every row sorted and
+    the sum of all knots finite.
+    """
+    knots = live["sketch_estimates"]
     q = knots.shape[-1]
-    flat = knots.reshape(-1)
+    flat = knots.flatten()
     rising = flat[1:] >= flat[:-1]
     # the last knot of each row is compared with the next row's first
     rising[q - 1 :: q] = True
     # a sum of finite knots is finite unless it overflows, and then the
     # exact test below runs
     if np.logical_and.reduce(rising) and math.isfinite(np.add.reduce(flat)):
-        return [-1] * len(knots)
-    good = np.isfinite(knots) & np.append(rising, True).reshape(knots.shape)
-    bad = ~good.all(axis=(2, 3)) & (counts > 0)
-    return np.where(bad.any(axis=1), bad.argmax(axis=1), -1).tolist()
-
-
-def _check_structure(arena: list[Node], root: int) -> None:
-    # every slot reachable exactly once from the root, so descent terminates
-    seen = [False] * len(arena)
-    stack = [root]
-    while stack:
-        idx = stack.pop()
-        if seen[idx]:
-            raise ValueError(f"node {idx} is reachable twice (cycle or shared child)")
-        seen[idx] = True
-        node = arena[idx]
-        if node.stats is None:
-            stack.extend((node.left, node.right))
-    if not all(seen):
-        raise ValueError(f"node {seen.index(False)} is not reachable from the root")
+        return
+    good = np.isfinite(knots).all(axis=-1) & (knots[..., 1:] >= knots[..., :-1]).all(axis=-1)
+    bad = ~good.all(axis=-1) & (live["class_counts"] > 0)
+    if bad.any():
+        i = int(bad.any(axis=1).argmax())
+        raise ValueError(f"node {i} has non-finite or unsorted sketch knots for class {bad[i].argmax()}")

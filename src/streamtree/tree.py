@@ -7,12 +7,18 @@ attribute's information gain beats the runner-up with confidence 1 - delta,
 or when the bound has shrunk below the tie-break threshold tau. Training is
 infer-then-train: every call returns the prediction the tree would have made
 before absorbing the sample.
+
+The tree's nodes live in one numpy record array in the snapshot's record
+layout, so a snapshot is a header plus one copy of the used records (see
+serialize.py); Node and LeafStats are views of a record.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -89,112 +95,131 @@ class Sample:
     train: bool = True
 
     def __post_init__(self) -> None:
-        self.features = np.asarray(self.features, dtype=np.float32)
+        self.features = _as_f32(self.features)
 
 
-class _StatsPool:
-    """Leaf statistics of a whole arena: four arrays with one slot per node.
+_KIND_LEAF, _KIND_INTERNAL = 0, 1
+# a leaf's (kind, split_attr, split_value, left, right)
+_LEAF = (_KIND_LEAF, 0, 0.0, 0, 0)
 
-    Slot i holds node i's class counts, its (classes, dims, n_quantiles)
-    sketch grid, its samples since the last split attempt and its frozen
-    flag. A leaf's LeafStats is a view of its slot; the slot of a node
-    that split keeps the statistics it had then, and nothing reads them.
+
+@lru_cache(maxsize=16)
+def _record_dtype(dims: int, classes: int, n_quantiles: int, live: bool = False) -> np.dtype:
+    """The node record: packed, little-endian, one field per wire field.
+
+    live types the same bytes for the live tree: class counts as int64 (a
+    snapshot's are below 2^63) and the frozen byte as bool.
+    """
+    return np.dtype([
+        ("kind", "u1"), ("frozen", "?" if live else "u1"),
+        ("split_attr", "<u4"), ("split_value", "<f4"), ("left", "<u4"), ("right", "<u4"),
+        ("class_counts", "<i8" if live else "<u8", (classes,)),
+        ("sketch_estimates", "<f4", (classes, dims, n_quantiles)),
+        ("sketch_counts", "<u8", (classes, dims)),
+        ("since_last_attempt", "<u4"),
+    ])
+
+
+_F32 = np.dtype(np.float32)
+
+
+def _as_f32(values) -> np.ndarray:
+    """values as f32; one past the f32 range casts to inf, which callers reject, unwarned."""
+    if type(values) is np.ndarray and values.dtype is _F32:
+        return values
+    with np.errstate(over="ignore"):
+        return np.asarray(values, dtype=np.float32)
+
+
+class _Records:
+    """The nodes of an arena: one record array whose bytes are the wire records.
+
+    Split fields stay zero on leaves and statistics on internal nodes, so
+    the used records copy out as a snapshot's but for two fields
+    serialize() derives: the sketch counts, from the class counts, and the
+    samples since the last split attempt, from since, a live int64 count
+    that may pass the wire's u32. counts views the class counts, which every
+    infer() reads. The arrays hold a slot per node and grow by doubling.
     """
 
-    __slots__ = ("counts", "sketch", "since", "frozen", "targets", "up", "down")
+    __slots__ = ("array", "since", "counts", "targets", "up", "down")
 
-    def __init__(self, params: Hyperparams, counts, sketch, since, frozen) -> None:
-        self.counts = counts  # int64 (slots, classes)
-        self.sketch = sketch  # f32 (slots, classes, dims, n_quantiles)
-        self.since = since  # int64 (slots,)
-        self.frozen = frozen  # bool (slots,)
+    def __init__(self, params: Hyperparams, array: np.ndarray, since: np.ndarray) -> None:
+        self._bind(array, since)
         self.targets = quantile_targets(params.n_quantiles)
         self.up, self.down = _signum_steps(params.n_quantiles, params.lam)
 
+    def _bind(self, array: np.ndarray, since: np.ndarray) -> None:
+        self.array, self.since = array, since
+        self.counts = array["class_counts"]  # int64 (slots, classes)
+
     @classmethod
-    def zeros(cls, params: Hyperparams, slots: int) -> "_StatsPool":
-        k, d, q = params.classes, params.dims, params.n_quantiles
-        return cls(
-            params,
-            np.zeros((slots, k), dtype=np.int64),
-            np.zeros((slots, k, d, q), dtype=np.float32),
-            np.zeros(slots, dtype=np.int64),
-            np.zeros(slots, dtype=bool),
-        )
+    def leaf(cls, params: Hyperparams) -> "_Records":
+        """The records of a single empty leaf."""
+        dtype = _record_dtype(params.dims, params.classes, params.n_quantiles, live=True)
+        return cls(params, np.zeros(1, dtype), np.zeros(1, dtype=np.int64))
 
     def reserve(self, slots: int, limit: int) -> None:
         """Make room for at least slots slots, growing by doubling up to limit.
 
-        New slots are zero. The arrays are replaced, so views taken before
-        a reserve() may be stale after it; LeafStats re-reads them.
-        """
-        have = len(self.since)
+        New slots are zero. The arrays are replaced, so views taken before a
+        reserve() may be stale after it; LeafStats re-reads them."""
+        have = len(self.array)
         if slots <= have:
             return
-        size = max(slots, min(2 * have, limit))
-        for name in ("counts", "sketch", "since", "frozen"):
-            old = getattr(self, name)
-            new = np.zeros((size,) + old.shape[1:], dtype=old.dtype)
-            new[:have] = old
-            setattr(self, name, new)
+        more = max(slots, min(2 * have, limit)) - have
+        self._bind(*(np.concatenate((a, np.zeros((more,) + a.shape[1:], a.dtype)))
+                     for a in (self.array, self.since)))
 
     def absorb(self, slots: np.ndarray, labels: np.ndarray, x: np.ndarray) -> None:
         """Fold row i of x, (rows, dims), into class labels[i] of slot slots[i], in order.
 
-        Rows of different (slot, class) pairs touch disjoint sketch rows, so
-        they are absorbed in waves: wave t takes the t-th row of every
-        pair, gathers the pairs' sketch rows into one (pairs, dims,
-        n_quantiles) block, applies one signum_update to it and scatters it
-        back. Each sketch row thus sees its samples in order and takes the
-        steps a loop over the rows would take. A pair's first sample ever
-        seeds every knot at the sample's value, so its own step moves
-        nothing.
+        The sketch rows of the (slot, class) cells the rows touch are
+        gathered into one aligned block, updated there and scattered back.
+        Rows of different cells touch disjoint sketch rows, so they are
+        absorbed in waves, one signum_update each: wave t takes the t-th row
+        of every cell, so each sketch row sees its samples in order. A
+        cell's first sample ever seeds every knot at its value, so its own
+        step moves nothing.
         """
         classes = self.counts.shape[1]
-        cells = slots * classes + labels
-        sketch = self.sketch.reshape((-1,) + self.sketch.shape[2:])
-        counts = self.counts.reshape(-1)
-        if len(cells) > 1:
-            rank = _ranks(cells)
-            order = rank.argsort(kind="stable")
-            cells, x = cells[order], x[order]
-            bounds = np.bincount(rank).cumsum().tolist()
-        else:
-            bounds = [len(cells)]
-        begin = 0
-        for end in bounds:
-            wave, step = cells[begin:end], x[begin:end, :, None]
-            block = sketch[wave]
-            if begin == 0 and not counts[wave].all():
-                fresh = counts[wave] == 0
-                block[fresh] = step[fresh]
-            signum_update(block, step, self.up, self.down)
-            sketch[wave] = block
-            begin = end
-        np.add.at(counts, cells, 1)
+        keys, rows, at, bounds = _waves(slots * classes + labels)
+        x = x[rows, :, None]
+        cell = np.divmod(keys, classes)
+        sketch = self.array["sketch_estimates"]  # f32 (slots, classes, dims, n_quantiles)
+        block = sketch[cell]
+        seen = self.counts[cell]
+        # the first wave holds every cell once, in order
+        first = x[: len(keys)]
+        if np.count_nonzero(seen) < len(seen):
+            fresh = seen == 0
+            block[fresh] = first[fresh]
+        signum_update(block, first, self.up, self.down)
+        for begin, end in zip(bounds, bounds[1:]):
+            wave, step = at[begin:end], x[begin:end]
+            part = block[wave]
+            signum_update(part, step, self.up, self.down)
+            block[wave] = part
+        sketch[cell] = block
+        self.counts[cell] = seen + np.bincount(at, minlength=len(keys))
         np.add.at(self.since, slots, 1)
 
 
 class LeafStats:
     """Per-leaf class counts plus one quantile sketch per (class, attribute).
 
-    A view of one slot of a statistics pool: a tree's leaves view the
-    tree's pool, and LeafStats(params) makes a leaf of its own. The
-    sketch grid has shape (classes, dims, n_quantiles), so one training
-    sample updates all dims sketches of its label row in a single
-    vectorized step. Semantics per cell are identical to a standalone
-    QuantileSketch fed the same scalars.
-
-    class_counts and sketch_estimates return views into the pool's
-    arrays, which a split may replace to make room for its children: an
-    array taken from them is valid until the tree next splits. Read them
-    again after training rather than keeping them.
+    A view of one record: a tree's leaves view the tree's records, and
+    LeafStats(params) makes a leaf of its own. The sketch grid has shape
+    (classes, dims, n_quantiles); each cell behaves as a standalone
+    QuantileSketch fed the same scalars. class_counts and sketch_estimates
+    are views into the records, which a split may replace to make room for
+    its children: read them again after training rather than keeping them.
     """
 
     __slots__ = ("_pool", "_slot")
 
-    def __init__(self, params: Hyperparams, pool: _StatsPool | None = None, slot: int = 0) -> None:
-        self._pool = _StatsPool.zeros(params, 1) if pool is None else pool
+    def __init__(self, params: Hyperparams, pool: _Records | None = None, slot: int = 0) -> None:
+        self._pool = _Records.leaf(params) if pool is None else pool
         self._slot = slot
 
     @property
@@ -203,7 +228,7 @@ class LeafStats:
 
     @property
     def sketch_estimates(self) -> np.ndarray:
-        return self._pool.sketch[self._slot]
+        return self._pool.array["sketch_estimates"][self._slot]
 
     @property
     def since_last_attempt(self) -> int:
@@ -215,11 +240,11 @@ class LeafStats:
 
     @property
     def frozen(self) -> bool:
-        return bool(self._pool.frozen[self._slot])
+        return bool(self._pool.array["frozen"][self._slot])
 
     @frozen.setter
     def frozen(self, value: bool) -> None:
-        self._pool.frozen[self._slot] = value
+        self._pool.array["frozen"][self._slot] = value
 
     @property
     def _targets(self) -> np.ndarray:
@@ -245,20 +270,48 @@ class LeafStats:
 
 
 class Node:
-    """One arena slot: a leaf (stats set) or an internal split (children set)."""
+    """A view of one arena slot: a leaf (stats set; assigning copies one in) or a split."""
 
-    __slots__ = ("split_attr", "split_value", "left", "right", "stats")
+    __slots__ = ("_tree", "_slot")
 
-    def __init__(self, stats: LeafStats | None = None) -> None:
-        self.split_attr = 0
-        self.split_value = 0.0
-        self.left = 0
-        self.right = 0
-        self.stats = stats
+    def __init__(self, tree: "Tree", slot: int) -> None:
+        self._tree = tree
+        self._slot = slot
 
     @property
-    def is_leaf(self) -> bool:
-        return self.stats is not None
+    def stats(self) -> LeafStats | None:
+        tree = self._tree
+        return None if tree._nodes[self._slot][0] else LeafStats(tree.params, tree._pool, self._slot)
+
+    @stats.setter
+    def stats(self, stats: LeafStats) -> None:
+        leaf = self.stats
+        if leaf is None:
+            raise ValueError(f"node {self._slot} is not a leaf")
+        leaf.class_counts[:] = stats.class_counts
+        leaf.sketch_estimates[:] = stats.sketch_estimates
+        leaf.since_last_attempt = stats.since_last_attempt
+        leaf.frozen = stats.frozen
+
+    split_attr = property(lambda self: self._tree._nodes[self._slot][1])
+    split_value = property(lambda self: self._tree._nodes[self._slot][2])
+    left = property(lambda self: self._tree._nodes[self._slot][3])
+    right = property(lambda self: self._tree._nodes[self._slot][4])
+
+
+class _Arena(Sequence):
+    """tree.arena: a Node view per slot."""
+
+    __slots__ = ("_tree",)
+
+    def __init__(self, tree: "Tree") -> None:
+        self._tree = tree
+
+    def __len__(self) -> int:
+        return self._tree.node_count
+
+    def __getitem__(self, i: int) -> Node:
+        return Node(self._tree, range(len(self))[i])
 
 
 def _run_starts(ordered: np.ndarray) -> np.ndarray:
@@ -276,6 +329,24 @@ def _ranks(keys: np.ndarray) -> np.ndarray:
     rank = np.empty(len(keys), dtype=np.intp)
     rank[order] = np.arange(len(keys)) - _run_starts(keys[order])
     return rank
+
+
+def _waves(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
+    """Entries in waves: wave t holds the t-th entry of every distinct key, keys ascending.
+
+    Returns the sorted distinct keys, the entries' order in waves, each
+    ordered entry's index among the keys, and where each wave ends."""
+    n = len(keys)
+    if n < 2:
+        return keys, np.zeros(n, dtype=np.intp), np.zeros(n, dtype=np.intp), [n]
+    order = keys.argsort(kind="stable")
+    ordered = keys[order]
+    new = np.ones(n, dtype=bool)
+    new[1:] = ordered[1:] != ordered[:-1]
+    group = new.cumsum() - 1
+    rank = np.arange(n) - np.flatnonzero(new)[group]
+    waves = rank.argsort(kind="stable")
+    return ordered[new], order[waves], group[waves], np.bincount(rank).cumsum().tolist()
 
 
 def hoeffding_bound(range_r: float, delta: float, n: int) -> float:
@@ -471,24 +542,28 @@ def split_candidates(stats: LeafStats, attr: int, n_pt: int) -> np.ndarray:
 
 
 class Tree:
-    """Fixed-capacity incremental decision tree.
+    """Fixed-capacity incremental decision tree; a fresh tree is one empty leaf.
 
-    The arena never exceeds max_nodes entries; a fresh tree is a single
-    empty leaf. Leaf statistics live in one pool indexed by node, which
-    arena[i].stats views; it holds a slot per node and grows on split.
-    One writer at a time; infer and sort_to_leaf never mutate.
+    Its at most max_nodes nodes live in one record array in the snapshot
+    layout (_Records), which tree.arena[i] views; one-row descent reads
+    _nodes, a Python list mirror of their kind and split fields. Children
+    follow their parent, so the root is node 0. One writer at a time.
     """
+
+    root = 0
 
     def __init__(self, params: Hyperparams) -> None:
         self.params = params
-        self._pool = _StatsPool.zeros(params, 1)
-        self.arena: list[Node] = [Node(LeafStats(params, self._pool, 0))]
-        self.root = 0
-        self._routes: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._pool = _Records.leaf(params)
+        self._nodes: list[tuple[int, int, float, int, int]] = [_LEAF]
 
     @property
     def node_count(self) -> int:
-        return len(self.arena)
+        return len(self._nodes)
+
+    @property
+    def arena(self) -> _Arena:
+        return _Arena(self)
 
     def _check_features(self, features) -> tuple[np.ndarray, list[float]]:
         """The row as f32 and as Python floats, checked for shape and finiteness.
@@ -497,15 +572,23 @@ class Tree:
         carries through to it, so the sum is finite exactly when every value
         is.
         """
-        x = np.asarray(features, dtype=np.float32)
+        x = _as_f32(features)
         if x.shape != (self.params.dims,):
-            raise ValueError(
-                f"expected {self.params.dims} features, got shape {x.shape}"
-            )
+            raise ValueError(f"expected {self.params.dims} features, got shape {x.shape}")
         values = x.tolist()
         if not math.isfinite(sum(values)):
             raise ValueError("features must be finite")
         return x, values
+
+    def _check_rows(self, X) -> np.ndarray:
+        """Rows as an f32 (rows, dims) array; a ValueError names the first non-finite one."""
+        X = _as_f32(X)
+        if X.ndim != 2 or X.shape[1] != self.params.dims:
+            raise ValueError(f"expected rows of {self.params.dims} features, got shape {X.shape}")
+        finite = np.isfinite(X).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"sample {int(np.argmin(finite))}: features must be finite")
+        return X
 
     def _descend(self, values: list[float]) -> int:
         """Leaf index of one row of Python floats.
@@ -513,11 +596,12 @@ class Tree:
         Thresholds are f32 values too, so comparing the floats gives the f32
         comparison without indexing numpy scalars.
         """
-        idx = self.root
-        node = self.arena[idx]
-        while node.stats is None:
-            idx = node.left if values[node.split_attr] <= node.split_value else node.right
-            node = self.arena[idx]
+        nodes = self._nodes
+        idx = 0
+        kind, attr, value, left, right = nodes[0]
+        while kind:
+            idx = left if values[attr] <= value else right
+            kind, attr, value, left, right = nodes[idx]
         return idx
 
     def sort_to_leaf(self, features) -> int:
@@ -525,8 +609,14 @@ class Tree:
         return self._descend(self._check_features(features)[1])
 
     def infer(self, features) -> int:
-        """Majority class of the routed leaf. No mutation."""
-        return self.arena[self.sort_to_leaf(features)].stats.majority()
+        """Majority class of the routed leaf, ties to the lowest class. No mutation."""
+        # a list's max beats an argmax of the packed record's unaligned row
+        counts = self._pool.counts[self._descend(self._check_features(features)[1])].tolist()
+        return counts.index(max(counts))
+
+    def predict(self, X) -> np.ndarray:
+        """infer() of every row of X, (rows, dims), routed in lockstep. No mutation."""
+        return self._pool.counts[self._route(self._check_rows(X))].argmax(axis=1)
 
     def train(self, sample: Sample) -> int:
         """Absorb one flagged training sample; returns the pre-update prediction.
@@ -539,9 +629,7 @@ class Tree:
             raise ValueError("sample is not flagged for training")
         label = int(sample.label)
         if not 0 <= label < self.params.classes:
-            raise ValueError(
-                f"label {label} out of range for {self.params.classes} classes"
-            )
+            raise ValueError(f"label {label} out of range for {self.params.classes} classes")
         x, _ = self._check_features(sample.features)
         return int(self._learn(x[None], np.array([label]), np.array([True]))[0])
 
@@ -555,11 +643,8 @@ class Tree:
         checked before the tree changes; a ValueError names the first bad
         sample.
         """
-        dims, classes = self.params.dims, self.params.classes
-        X = np.asarray(X, dtype=np.float32)
-        if X.ndim != 2 or X.shape[1] != dims:
-            raise ValueError(f"expected rows of {dims} features, got shape {X.shape}")
-        n = len(X)
+        X = self._check_rows(X)
+        n, classes = len(X), self.params.classes
         train = np.asarray(train_mask)
         if train.shape != (n,) or train.dtype != bool:
             raise ValueError(f"train_mask must be {n} bools, got {train.dtype} {train.shape}")
@@ -567,9 +652,6 @@ class Tree:
         if labels.shape != (n,) or labels.dtype.kind not in "iub":
             raise ValueError(f"labels must be {n} integers, got {labels.dtype} {labels.shape}")
         labels = np.where(train, labels, 0)
-        finite = np.isfinite(X).all(axis=1)
-        if not finite.all():
-            raise ValueError(f"sample {int(np.argmin(finite))}: features must be finite")
         bad = (labels < 0) | (labels >= classes)
         if bad.any():
             i = int(np.argmax(bad))
@@ -616,49 +698,35 @@ class Tree:
                 idx = int(leaf[end])
                 pool.since[idx] = 0
                 self.attempt_split(idx)
-                node = self.arena[idx]
                 later = start + (leaf[start:] == idx).nonzero()[0]
-                if node.stats is None:
-                    left = X[later, node.split_attr] <= node.split_value
-                    leaf[later] = np.where(left, node.left, node.right)
+                kind, attr, value, left, right = self._nodes[idx]
+                if kind:
+                    go_left = X[later, attr] <= value
+                    leaf[later] = np.where(go_left, left, right)
                     trigger[later] = self._attempt_rows(leaf[later], train[later])
-                elif pool.frozen[idx]:
+                elif pool.array["frozen"][idx]:
                     trigger[later] = False
         return out
-
-    def _routing_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Split attribute, threshold and (left, right) children of every node.
-
-        A leaf's children are the leaf itself. Built from the arena on
-        first use after a split or a load, so lockstep routing pays for it
-        once per tree shape, not once per call.
-        """
-        if self._routes is None:
-            arena = self.arena
-            self._routes = (
-                np.array([n.split_attr for n in arena], dtype=np.intp),
-                np.array([n.split_value for n in arena], dtype=np.float32),
-                np.array(
-                    [(i, i) if n.stats is not None else (n.left, n.right) for i, n in enumerate(arena)],
-                    dtype=np.intp,
-                ),
-            )
-        return self._routes
 
     def _route(self, X: np.ndarray) -> np.ndarray:
         """Leaf index of every row, by lockstep descent from the root.
 
-        Each step moves every row one level down the routing table, where
-        a leaf leads to itself, until no row moves; a step costs a few
-        numpy calls whatever the row count. A lone row, the case of
-        train(), descends on its own, which makes the same comparisons
-        without those calls.
+        Each step moves every row one level down a child table, where a
+        leaf leads to itself, until no row moves: a few numpy calls per
+        level, whatever the row count. The split columns are copied out of
+        the records once per call, since gathers from their unaligned
+        fields cost more. A lone row, the case of train(), descends on its
+        own, which makes the same comparisons without those calls.
         """
         if len(X) == 1:
             return np.array([self._descend(X[0].tolist())], dtype=np.intp)
-        attr, value, child = self._routing_table()
+        records, idx = self._pool.array[: self.node_count], np.arange(self.node_count)
+        attr = records["split_attr"].astype(np.intp)
+        value = records["split_value"].astype(np.float32)
+        # a leaf's children are zero and an internal node's lie above it
+        child = np.array((np.maximum(records["left"], idx), np.maximum(records["right"], idx))).T
         rows = np.arange(len(X))
-        leaf = np.full(len(X), self.root, dtype=np.intp)
+        leaf = np.zeros(len(X), dtype=np.intp)
         while True:
             step = child[leaf, (X[rows, attr[leaf]] > value[leaf]).view(np.int8)]
             if (step == leaf).all():
@@ -677,7 +745,7 @@ class Tree:
         an attempt splits or freezes the leaf.
         """
         pool, n_min = self._pool, self.params.n_min
-        rows = (train & ~pool.frozen[leaf]).nonzero()[0]
+        rows = (train & ~pool.array["frozen"][leaf]).nonzero()[0]
         at = leaf[rows]
         since = np.minimum(pool.since[at], n_min - 1) + _ranks(at) + 1
         mask = np.zeros(len(leaf), dtype=bool)
@@ -709,10 +777,9 @@ class Tree:
         A leaf that cannot fit two children in the arena is frozen for good
         and keeps accumulating statistics for prediction only.
         """
-        node = self.arena[leaf_idx]
-        stats = node.stats
-        if stats is None:
+        if self._nodes[leaf_idx][0]:
             raise ValueError(f"node {leaf_idx} is not a leaf")
+        stats = LeafStats(self.params, self._pool, leaf_idx)
         if stats.frozen:
             return None
         if self.node_count + 2 > self.params.max_nodes:
@@ -725,14 +792,8 @@ class Tree:
         best_gain, best_value = _best_splits(stats, params.n_pt)
         first = int(np.argmax(best_gain))
         g_first = best_gain[first]
-        if params.dims > 1:
-            rest = np.delete(best_gain, first)
-            g_second = float(rest.max())
-        else:
-            g_second = 0.0
-        epsilon = hoeffding_bound(
-            math.log2(params.classes), params.delta, stats.total
-        )
+        g_second = float(np.delete(best_gain, first).max()) if params.dims > 1 else 0.0
+        epsilon = hoeffding_bound(math.log2(params.classes), params.delta, stats.total)
         if g_first > 0.0 and (g_first - g_second > epsilon or epsilon < params.tau):
             value = best_value[first]
             self._split(leaf_idx, first, value)
@@ -741,16 +802,15 @@ class Tree:
 
     def _split(self, leaf_idx: int, attr: int, value: float) -> None:
         # threshold held at f32 so the live tree and its serialized form agree
-        node = self.arena[leaf_idx]
-        node.stats = None
-        node.split_attr = attr
-        node.split_value = float(np.float32(value))
-        node.left = len(self.arena)
-        node.right = len(self.arena) + 1
-        self._routes = None
-        self._pool.reserve(node.right + 1, self.params.max_nodes)
-        self.arena.append(Node(LeafStats(self.params, self._pool, node.left)))
-        self.arena.append(Node(LeafStats(self.params, self._pool, node.right)))
+        value = float(np.float32(value))
+        left, right = self.node_count, self.node_count + 1
+        pool = self._pool
+        pool.reserve(right + 1, self.params.max_nodes)
+        # the record of an internal node holds no statistics
+        pool.array[leaf_idx] = (_KIND_INTERNAL, False, attr, value, left, right, 0, 0, 0, 0)
+        pool.since[leaf_idx] = 0
+        self._nodes[leaf_idx] = (_KIND_INTERNAL, attr, value, left, right)
+        self._nodes += (_LEAF, _LEAF)
 
     def leaf_indices(self) -> list[int]:
-        return [i for i, n in enumerate(self.arena) if n.stats is not None]
+        return [i for i, node in enumerate(self._nodes) if not node[0]]

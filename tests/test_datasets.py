@@ -140,7 +140,6 @@ def test_csv_blank_lines_skipped(tmp_path):
 
 
 # 1e39 parses as a finite float but overflows the f32 feature vector
-@pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
 @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e39"])
 def test_csv_non_finite_names_line_and_column(tmp_path, cell):
     path = tmp_path / "t.csv"

@@ -466,8 +466,31 @@ def test_lockstep_routing_matches_per_row_descent_on_a_large_tree():
         assert infer_only.tolist() == [routed.infer(x) for x in X]
 
 
+def test_predict_matches_per_row_infer_on_a_large_tree():
+    tree = split_tree(1_023)
+    for i in tree.leaf_indices():
+        tree.arena[i].stats.class_counts[(i * 7) % 5] = 1 + i % 3
+    thresholds = [n.split_value for n in tree.arena if n.stats is None]
+    rng = np.random.default_rng(2)
+    X = rng.normal(size=(600, 3)).astype(np.float32)
+    X[:300] = rng.choice(np.array(thresholds + [0.0, -0.0], dtype=np.float32), size=(300, 3))
+    want = [tree.infer(x) for x in X]
+    assert len(set(want)) == 5
+    for routed in (tree, deserialize(serialize(tree))):
+        assert routed.predict(X).tolist() == want
+        assert routed.predict(X[:1]).tolist() == want[:1]
+        assert routed.predict(X[:0]).tolist() == []
+    before = serialize(tree)
+    X[7, 2] = np.nan
+    with pytest.raises(ValueError, match="^sample 7: features must be finite$"):
+        tree.predict(X)
+    with pytest.raises(ValueError, match="expected rows of 3 features"):
+        tree.predict(X[:, :2])
+    assert serialize(tree) == before
+
+
 def test_loaded_tree_keeps_learning_like_the_reference():
-    # a loaded tree routes through a routing table built from its arena;
+    # a loaded tree routes through the records deserialize copied;
     # the header holds delta, lam and tau as f32, so these are f32 values
     params = Hyperparams(dims=3, classes=5, delta=2**-10, lam=2**-7, tau=0.125,
                          n_min=50, max_nodes=63)

@@ -4,6 +4,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streamtree.datasets import DatasetSpec, generate_clusters
 from streamtree.serialize import (
@@ -291,3 +293,101 @@ def test_tau_sign_survives_loading_after_the_other_sign():
     assert bufs[0] != bufs[1]
     for buf in bufs + bufs[::-1]:
         assert serialize(deserialize(buf)) == buf
+
+
+def test_unused_fields_and_frozen_bytes_load_as_canonical():
+    # garbage in every field a record does not use, in the unused slots, and
+    # a frozen byte of 7 on a frozen leaf, an active leaf and internal nodes
+    tree = hand_built_tree()
+    buf, rec = editable(serialize(tree), tree)
+    internal = rec["kind"] == 1
+    leaf = ~internal
+    rec["split_attr"][leaf] = 9
+    rec["split_value"][leaf] = np.nan
+    rec["left"][leaf] = 77
+    rec["right"][leaf] = 1
+    rec["frozen"][internal] = 7
+    rec["class_counts"][internal] = 2**64 - 1
+    rec["sketch_estimates"][internal] = np.nan
+    rec["sketch_counts"][internal] = 5
+    rec["since_last_attempt"][internal] = 123
+    rec["frozen"][[3, 4]] = 7
+    buf[-100:] = b"\xff" * 100
+    tree.arena[4].stats.frozen = True
+    canonical = serialize(tree)
+    back = deserialize(bytes(buf))
+    assert [back.arena[i].stats.frozen for i in back.leaf_indices()] == [False, True, True]
+    assert serialize(back) == canonical
+    assert serialize(deserialize(canonical)) == canonical
+
+
+def test_deserialize_rejects_child_before_parent():
+    # records 2 and 4 swapped: a tree a walk from the root accepts, but
+    # serialize() always writes a node's children after it, so it does not load
+    tree = hand_built_tree()
+    buf, rec = editable(serialize(tree), tree)
+    rec[[2, 4]] = rec[[4, 2]].copy()
+    rec["right"][0] = 4
+    rec["left"][4], rec["right"][4] = 3, 2
+    with pytest.raises(ValueError, match="^node 4 has a child at or before its own index$"):
+        deserialize(bytes(buf))
+    buf, rec = editable(serialize(tree), tree)
+    rec["left"][2] = 2
+    with pytest.raises(ValueError, match="^node 2 is reachable twice"):
+        deserialize(bytes(buf))
+
+
+def test_deserialize_rejects_nonzero_root():
+    buf = bytearray(serialize(hand_built_tree()))
+    buf[34:38] = (2).to_bytes(4, "little")
+    with pytest.raises(ValueError, match="^root index 2 is not 0$"):
+        deserialize(bytes(buf))
+
+
+SOUND = serialize(hand_built_tree())
+# header and used records; the rest is padding
+SOUND_USED = 50 + 5 * node_record_bytes(2, 3, 4)
+
+
+def assert_sound(tree):
+    """Every probe routes within node_count steps, infer answers, predict agrees, and reloading is stable."""
+    values = [n.split_value for n in tree.arena if n.stats is None]
+    probes = np.array([(a, b) for a in values + [0.0, -0.0, 1.0] for b in values + [-1.0]]
+                      + [(x0, x1) for x0, x1, _ in GOLDEN_ROWS], dtype=np.float32)
+    for x in probes:
+        idx, steps = 0, 0
+        while tree.arena[idx].stats is None:
+            node = tree.arena[idx]
+            idx = node.left if x[node.split_attr] <= node.split_value else node.right
+            steps += 1
+            assert steps < tree.node_count
+        assert tree.sort_to_leaf(x) == idx
+        assert 0 <= tree.infer(x) < tree.params.classes
+    assert tree.predict(probes).tolist() == [tree.infer(x) for x in probes]
+    again = serialize(tree)
+    assert serialize(deserialize(again)) == again
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    cut=st.integers(0, len(SOUND) - 1),
+    edits=st.lists(
+        st.tuples(st.one_of(st.integers(0, SOUND_USED - 1), st.integers(0, len(SOUND) - 1)),
+                  st.integers(0, 255)),
+        min_size=1, max_size=8,
+    ),
+    truncate=st.booleans(),
+)
+def test_damaged_snapshot_raises_value_error_or_loads_sound(cut, edits, truncate):
+    buf = bytearray(SOUND)
+    if truncate:
+        del buf[cut:]
+    else:
+        for at, value in edits:
+            buf[at] = value
+    try:
+        tree = deserialize(bytes(buf))
+    except ValueError:
+        return
+    assert not truncate
+    assert_sound(tree)

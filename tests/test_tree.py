@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from streamtree.datasets import DatasetSpec, generate_clusters
+from streamtree.datasets import CsvSchema, DatasetSpec, generate_clusters, load_csv
+from streamtree.harness import Bundle, process_bundle
 from streamtree.serialize import _records, serialize
 from streamtree.sketch import QuantileSketch
 from streamtree.tree import (
@@ -147,7 +149,6 @@ def split_three_dims():
     return tree
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in cast")
 @pytest.mark.parametrize("row", [
     [0.1, math.nan, 0.3],
     [0.1, 0.2, math.inf],
@@ -162,6 +163,32 @@ def test_non_finite_features_are_rejected_by_every_one_row_call(row):
         with pytest.raises(ValueError, match="^features must be finite$"):
             call(row)
     assert serialize(tree) == before
+
+
+def test_f32_overflow_is_reported_once_on_every_path(tmp_path):
+    # 1e39 is a finite float that casts to an f32 infinity: the ValueError
+    # is the one report, with no numpy overflow warning before it
+    row = [0.1, 1e39, 0.3]
+    path = tmp_path / "t.csv"
+    path.write_text("a,b,c,y\n0.1,1e39,0.3,0\n")
+    tree = split_three_dims()
+    cast_later = Sample(np.zeros(3), label=1)
+    cast_later.features = np.array(row)  # f64, so the bundle casts it
+    calls = [
+        lambda: tree.infer(row),
+        lambda: tree.train(Sample(row, label=1)),
+        lambda: tree.learn(np.array([row]), np.array([1]), np.array([True])),
+        lambda: tree.predict(np.array([row])),
+        lambda: process_bundle(tree, Bundle([Sample(row, label=1)], 1)),
+        lambda: process_bundle(tree, Bundle([cast_later], 1)),
+        lambda: load_csv(path, CsvSchema(features=["a", "b", "c"], label="y")),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isinf(Sample(row).features[1])
+        for call in calls:
+            with pytest.raises(ValueError, match="finite"):
+                call()
 
 
 def test_largest_f32_features_are_finite_in_every_attribute():

@@ -1,0 +1,192 @@
+"""Parent differential: this checkout's answers and snapshots against another commit's.
+
+    python tools/parent_differential.py REF
+
+Extracts the files of commit REF (for example HEAD~1) with `git archive`
+into a temporary directory, then trains the same 132 trees with the
+streamtree package under src/ of this checkout and with REF's, one
+process per side, and compares them:
+
+- acceptance seeds 0-19 (D=3 K=5, 40,000 rows each);
+- the 100 fuzzed mixed-flag streams of criterion 3;
+- criterion 8's drifting stream at max_nodes 1, 3, 7 and 100;
+- a Covertype-shaped D=54 K=7 stream at max_nodes 2047 and 15;
+- frozen-leaf trees at max_nodes 3 and 7;
+- train masks of share 0.1 and 0.9 at max_nodes 2047 and 7.
+
+Each stream is fed through process_bundle in chunks of 1, 37, 1,000 and
+5,000 rows and as single train()/infer() calls; every feeding must give
+the other side's answers and serialize() sha256. On every final tree, and
+on its deserialize(serialize()) copy, per-row infer() and sort_to_leaf()
+and the batched predict() must agree on probe rows: the stream's rows,
+random rows, and rows made of the thresholds and of +-0.0. A side without
+Tree.predict answers those with per-row infer(). The script prints the
+tree, node and frozen-leaf counts and every mismatch, and exits 1 on any.
+The corpora are those of tests/test_learn.py and tests/test_acceptance.py.
+It takes some minutes per side.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+CHUNKS = (1, 37, 1_000, 5_000)
+
+
+def corpus(st, np):
+    """(name, params, stream) of the 132 trees."""
+    H, S, D = st.Hyperparams, st.Sample, st.DatasetSpec
+    for seed in range(20):
+        spec = D(clusters=5, dims=3, samples=40_000, cluster_spread=0.04, center_box=2.0, seed=seed)
+        yield f"acceptance-{seed}", H(dims=3, classes=5, tau=0.1), st.generate_clusters(spec)
+
+    rng = np.random.default_rng(300)
+    for i in range(100):
+        n = int(rng.integers(1, 2001))
+        dims = int(rng.integers(1, 5))
+        classes = int(rng.integers(2, 6))
+        params = H(
+            dims=dims, classes=classes,
+            n_min=int(rng.integers(20, 200)),
+            tau=float(rng.uniform(0.02, 0.2)),
+            max_nodes=int(rng.choice([1, 3, 15, 63])),
+        )
+        share = float(rng.uniform(0.3, 1.0))
+        stream = [
+            S(rng.normal(0, 2, dims).astype(np.float32),
+              int(rng.integers(0, classes)),
+              bool(rng.random() < share))
+            for _ in range(n)
+        ]
+        yield f"criterion3-{i}", params, stream
+
+    rng = np.random.default_rng(800)
+    drifting = []
+    centers = rng.uniform(-4, 4, (3, 3))
+    for i in range(100_000):
+        if i % 10_000 == 0 and i:
+            centers = rng.uniform(-4, 4, (3, 3))
+        label = int(rng.integers(0, 3))
+        x = centers[label] + rng.normal(0, 0.3, 3)
+        if rng.random() < 0.1:
+            label = int(rng.integers(0, 3))
+        drifting.append(S(x.astype(np.float32), label))
+    for nodes in (1, 3, 7, 100):
+        yield f"criterion8-{nodes}", H(dims=3, classes=3, n_min=50, tau=0.1, max_nodes=nodes), drifting
+
+    wide = st.generate_clusters(D(clusters=7, dims=54, samples=6_000, cluster_spread=0.5, seed=1))
+    for nodes in (2047, 15):
+        yield f"d54k7-{nodes}", H(dims=54, classes=7, tau=0.2, n_min=100, max_nodes=nodes), wide
+
+    clusters = st.generate_clusters(D(clusters=5, dims=3, samples=8_000, cluster_spread=0.3, seed=7))
+    for nodes in (3, 7):
+        yield f"frozen-{nodes}", H(dims=3, classes=5, tau=0.1, n_min=100, max_nodes=nodes), clusters
+    for share in (0.1, 0.9):
+        rng = np.random.default_rng(7)
+        masked = [S(s.features, s.label, bool(rng.random() < share)) for s in clusters]
+        for nodes in (2047, 7):
+            params = H(dims=3, classes=5, tau=0.1, n_min=50, max_nodes=nodes)
+            yield f"masked-{share}-{nodes}", params, masked
+
+
+def sha(data) -> str:
+    if not isinstance(data, bytes):
+        data = json.dumps(data).encode()
+    return hashlib.sha256(data).hexdigest()
+
+
+def probe_rows(tree, stream, np):
+    """The stream's rows, random rows, and rows of every threshold and +-0.0."""
+    dims = tree.params.dims
+    rng = np.random.default_rng(dims)
+    thresholds = [tree.arena[i].split_value for i in range(tree.node_count)
+                  if tree.arena[i].stats is None]
+    values = np.array(thresholds + [0.0, -0.0], dtype=np.float32)
+    return np.concatenate([
+        np.array([s.features for s in stream], dtype=np.float32).reshape(-1, dims),
+        rng.normal(0, 3, (500, dims)).astype(np.float32),
+        rng.choice(values, size=(500, dims)),
+    ])
+
+
+def worker(src: str) -> None:
+    """Print one JSON object of digests for the package under src."""
+    sys.path.insert(0, src)
+    import numpy as np
+    import streamtree as st
+
+    out, nodes, frozen = {}, 0, 0
+    for name, params, stream in corpus(st, np):
+        for chunk in CHUNKS:
+            tree = st.Tree(params)
+            answers = []
+            for start in range(0, len(stream), chunk):
+                answers += st.process_bundle(tree, st.Bundle(stream[start : start + chunk], chunk))
+            out[f"{name}/chunk-{chunk}"] = [sha(answers), sha(st.serialize(tree))]
+        tree = st.Tree(params)
+        answers = [tree.train(s) if s.train else tree.infer(s.features) for s in stream]
+        out[f"{name}/single"] = [sha(answers), sha(st.serialize(tree))]
+
+        X = probe_rows(tree, stream, np)
+        for side, t in (("live", tree), ("loaded", st.deserialize(st.serialize(tree)))):
+            infer = [t.infer(x) for x in X]
+            batched = t.predict(X).tolist() if hasattr(t, "predict") else infer
+            out[f"{name}/{side}/infer"] = sha(infer)
+            out[f"{name}/{side}/sort_to_leaf"] = sha([t.sort_to_leaf(x) for x in X])
+            out[f"{name}/{side}/predict"] = sha(batched)
+        nodes += tree.node_count
+        frozen += sum(bool(tree.arena[i].stats.frozen) for i in tree.leaf_indices())
+        print(f"{src}: {name}", file=sys.stderr, flush=True)
+    out["summary"] = {"nodes": nodes, "frozen_leaves": frozen}
+    print(json.dumps(out))
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("ref", help="commit to compare against, such as HEAD~1")
+    parser.add_argument("--worker", metavar="SRC", help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.worker:
+        worker(args.worker)
+        return 0
+
+    with tempfile.TemporaryDirectory() as tmp:
+        archive = subprocess.run(["git", "archive", args.ref, "src"], cwd=ROOT,
+                                 check=True, capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+        sides = {"this checkout": str(ROOT / "src"), args.ref: str(Path(tmp) / "src")}
+        procs = {
+            label: subprocess.Popen([sys.executable, __file__, args.ref, "--worker", src],
+                                    stdout=subprocess.PIPE, text=True)
+            for label, src in sides.items()
+        }
+        results = {}
+        for label, proc in procs.items():
+            stdout, _ = proc.communicate()
+            if proc.returncode:
+                print(f"{label}: worker failed with status {proc.returncode}")
+                return 1
+            results[label] = json.loads(stdout)
+
+    mine, theirs = results.values()
+    mismatches = [key for key in theirs if key != "summary" and mine.get(key) != theirs[key]]
+    trees = len({key.split("/")[0] for key in theirs if key != "summary"})
+    print(f"{trees} trees, {mine['summary']['nodes']} nodes, "
+          f"{mine['summary']['frozen_leaves']} frozen leaves "
+          f"({args.ref}: {theirs['summary']['nodes']} nodes, "
+          f"{theirs['summary']['frozen_leaves']} frozen leaves)")
+    for key in mismatches:
+        print(f"MISMATCH {key}")
+    print(f"{len(theirs) - 1 - len(mismatches)} of {len(theirs) - 1} digests agree")
+    return 1 if mismatches or mine["summary"] != theirs["summary"] else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
