@@ -73,7 +73,8 @@ def _rows(tree: Tree, samples: Sequence[Sample]):
         ok = X.shape == (len(samples), dims) and labels.dtype.kind in "iub"
     except (TypeError, ValueError):
         ok = False
-    if ok and all(isinstance(f, (bool, np.bool_)) for f in flags):
+    # per flag type, not per flag: numpy 2 allows subclasses of np.bool_
+    if ok and all(issubclass(t, (bool, np.bool_)) for t in set(map(type, flags))):
         return X, labels, np.array(flags, dtype=bool)
 
     X = np.empty((len(samples), dims), dtype=np.float32)

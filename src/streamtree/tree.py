@@ -138,11 +138,12 @@ class _Records:
     the used records copy out as a snapshot's but for two fields
     serialize() derives: the sketch counts, from the class counts, and the
     samples since the last split attempt, from since, a live int64 count
-    that may pass the wire's u32. counts views the class counts, which every
-    infer() reads. The arrays hold a slot per node and grow by doubling.
+    that may pass the wire's u32. counts, sketch and frozen view the class
+    counts, which every infer() reads, the sketch grids and the frozen
+    flags. The arrays hold a slot per node and grow by doubling.
     """
 
-    __slots__ = ("array", "since", "counts", "targets", "up", "down")
+    __slots__ = ("array", "since", "counts", "sketch", "frozen", "targets", "up", "down")
 
     def __init__(self, params: Hyperparams, array: np.ndarray, since: np.ndarray) -> None:
         self._bind(array, since)
@@ -152,6 +153,8 @@ class _Records:
     def _bind(self, array: np.ndarray, since: np.ndarray) -> None:
         self.array, self.since = array, since
         self.counts = array["class_counts"]  # int64 (slots, classes)
+        self.sketch = array["sketch_estimates"]  # f32 (slots, classes, dims, n_quantiles)
+        self.frozen = array["frozen"]
 
     @classmethod
     def leaf(cls, params: Hyperparams) -> "_Records":
@@ -174,34 +177,45 @@ class _Records:
     def absorb(self, slots: np.ndarray, labels: np.ndarray, x: np.ndarray) -> None:
         """Fold row i of x, (rows, dims), into class labels[i] of slot slots[i], in order.
 
-        The sketch rows of the (slot, class) cells the rows touch are
-        gathered into one aligned block, updated there and scattered back.
-        Rows of different cells touch disjoint sketch rows, so they are
-        absorbed in waves, one signum_update each: wave t takes the t-th row
-        of every cell, so each sketch row sees its samples in order. A
+        Rows of different (slot, class) cells touch disjoint sketch rows, so
+        they are absorbed in waves, one signum_update each, and wave t takes
+        the t-th row of every cell that has one, so each sketch row sees its
+        samples in order. The touched cells' sketch rows are gathered once
+        into an aligned block, largest cell first: wave t's cells are then
+        the first m_t of the block, and each wave updates the prefix view
+        block[:m_t] with a contiguous slice of the rows, before one scatter
+        back. Rows that all hit one cell update its sketch row in place. A
         cell's first sample ever seeds every knot at its value, so its own
         step moves nothing.
         """
         classes = self.counts.shape[1]
-        keys, rows, at, bounds = _waves(slots * classes + labels)
+        keys = slots * classes + labels
+        if len(keys) == 1 or (keys == keys[0]).all():
+            slot, label = int(slots[0]), int(labels[0])
+            row = self.sketch[slot, label]
+            fresh = not self.counts[slot, label]
+            if fresh:
+                row[:] = x[0, :, None]
+            for value in x[int(fresh):, :, None]:
+                signum_update(row, value, self.up, self.down)
+            self.counts[slot, label] += len(x)
+            self.since[slot] += len(x)
+            return
+        cells, sizes, rows, bounds = _prefix_waves(keys)
         x = x[rows, :, None]
-        cell = np.divmod(keys, classes)
-        sketch = self.array["sketch_estimates"]  # f32 (slots, classes, dims, n_quantiles)
-        block = sketch[cell]
+        cell = np.divmod(cells, classes)
+        block = self.sketch[cell]
         seen = self.counts[cell]
-        # the first wave holds every cell once, in order
-        first = x[: len(keys)]
+        # the first wave holds every cell once, in block order
+        first = x[: len(cells)]
         if np.count_nonzero(seen) < len(seen):
             fresh = seen == 0
             block[fresh] = first[fresh]
         signum_update(block, first, self.up, self.down)
         for begin, end in zip(bounds, bounds[1:]):
-            wave, step = at[begin:end], x[begin:end]
-            part = block[wave]
-            signum_update(part, step, self.up, self.down)
-            block[wave] = part
-        sketch[cell] = block
-        self.counts[cell] = seen + np.bincount(at, minlength=len(keys))
+            signum_update(block[: end - begin], x[begin:end], self.up, self.down)
+        self.sketch[cell] = block
+        self.counts[cell] = seen + sizes
         np.add.at(self.since, slots, 1)
 
 
@@ -228,7 +242,7 @@ class LeafStats:
 
     @property
     def sketch_estimates(self) -> np.ndarray:
-        return self._pool.array["sketch_estimates"][self._slot]
+        return self._pool.sketch[self._slot]
 
     @property
     def since_last_attempt(self) -> int:
@@ -240,11 +254,11 @@ class LeafStats:
 
     @property
     def frozen(self) -> bool:
-        return bool(self._pool.array["frozen"][self._slot])
+        return bool(self._pool.frozen[self._slot])
 
     @frozen.setter
     def frozen(self, value: bool) -> None:
-        self._pool.array["frozen"][self._slot] = value
+        self._pool.frozen[self._slot] = value
 
     @property
     def _targets(self) -> np.ndarray:
@@ -314,39 +328,35 @@ class _Arena(Sequence):
         return Node(self._tree, range(len(self))[i])
 
 
-def _run_starts(ordered: np.ndarray) -> np.ndarray:
-    """For each entry of a sorted array, the index where its run of equal values starts."""
-    start = np.ones(len(ordered), dtype=bool)
-    start[1:] = ordered[1:] != ordered[:-1]
-    return np.maximum.accumulate(np.where(start, np.arange(len(ordered)), 0))
-
-
-def _ranks(keys: np.ndarray) -> np.ndarray:
-    """How many earlier entries share each entry's key."""
+def _grouped(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The stable order that groups equal keys, the keys in it, and where each group starts."""
     if len(keys) < 2:
-        return np.zeros(len(keys), dtype=np.intp)
+        return np.arange(len(keys)), keys, np.ones(len(keys), dtype=bool)
     order = keys.argsort(kind="stable")
-    rank = np.empty(len(keys), dtype=np.intp)
-    rank[order] = np.arange(len(keys)) - _run_starts(keys[order])
-    return rank
+    grouped = keys[order]
+    head = np.ones(len(keys), dtype=bool)
+    head[1:] = grouped[1:] != grouped[:-1]
+    return order, grouped, head
 
 
-def _waves(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
-    """Entries in waves: wave t holds the t-th entry of every distinct key, keys ascending.
+def _prefix_waves(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
+    """Entries in waves over their distinct keys, the most frequent key first.
 
-    Returns the sorted distinct keys, the entries' order in waves, each
-    ordered entry's index among the keys, and where each wave ends."""
+    Wave t holds the t-th entry of every key that has one, so it holds the
+    first m_t keys of that order, and m_t never grows. Returns the keys in
+    that order, how many entries each has, the entries' indices in waves,
+    and where each wave ends.
+    """
     n = len(keys)
-    if n < 2:
-        return keys, np.zeros(n, dtype=np.intp), np.zeros(n, dtype=np.intp), [n]
-    order = keys.argsort(kind="stable")
-    ordered = keys[order]
-    new = np.ones(n, dtype=bool)
-    new[1:] = ordered[1:] != ordered[:-1]
-    group = new.cumsum() - 1
-    rank = np.arange(n) - np.flatnonzero(new)[group]
-    waves = rank.argsort(kind="stable")
-    return ordered[new], order[waves], group[waves], np.bincount(rank).cumsum().tolist()
+    order, grouped, head = _grouped(keys)
+    group = head.cumsum() - 1
+    heads = head.nonzero()[0]
+    rank = np.arange(n) - heads[group]
+    size = np.bincount(group)
+    # by rank, then by size down: rank * n - size orders both, since size <= n
+    waves = (rank * n - size[group]).argsort(kind="stable")
+    firsts = waves[: len(heads)]
+    return grouped[firsts], size[group[firsts]], order[waves], np.bincount(rank).cumsum().tolist()
 
 
 def hoeffding_bound(range_r: float, delta: float, n: int) -> float:
@@ -669,32 +679,47 @@ class Tree:
     def _learn_block(self, X: np.ndarray, labels: np.ndarray, train: np.ndarray) -> np.ndarray:
         """Route, answer and absorb rows segment by segment.
 
-        The tree's structure can only change at a split attempt, so the
-        rows are cut after each row that brings a non-frozen leaf to n_min
-        samples since its last attempt. Within a segment every row routes
-        to the leaf it would reach alone, and rows at different leaves, or
-        of different classes, touch disjoint statistics, so the segment's
-        train rows are absorbed in waves: wave t takes the t-th row of
-        every (leaf, class) pair. A split re-routes only the later rows at
-        the split leaf, one level down, into the two fresh children.
+        The tree's structure can only change at a split attempt that can
+        act, so the rows are cut after each such attempt row (see
+        _attempt_rows). Within a segment every row routes to the leaf it
+        would reach alone, and rows at different leaves, or of different
+        classes, touch disjoint statistics, so the segment's train rows are
+        absorbed in waves: wave t takes the t-th row of every (leaf, class)
+        pair. An attempt that cannot act only resets its leaf's count of
+        samples since the last attempt, which then holds the leaf's train
+        rows after it. A split re-routes only the later rows at the split
+        leaf, one level down, into the two fresh children.
         """
-        pool = self._pool
+        pool, n_min = self._pool, self.params.n_min
         leaf = self._route(X)
-        trigger = self._attempt_rows(leaf, train)
+        attempt, act = self._attempt_rows(leaf, labels, train)
+        # one array when every attempt can act, and then no split can come
+        # before the block ends that would make them differ
+        skips = act is not attempt
         out = np.empty(len(X), dtype=np.intp)
         start = 0
         while start < len(X):
-            end = start + int(trigger[start:].argmax())
-            attempt = bool(trigger[end])
-            if not attempt:
+            end = start + int(act[start:].argmax())
+            acts = bool(act[end])
+            if not acts:
                 end = len(X) - 1
             seg = slice(start, end + 1)
             out[seg] = self._answers(leaf[seg], labels[seg], train[seg])
             rows = start + train[seg].nonzero()[0]
+            if skips:
+                # the leaves of the segment's attempts that cannot act: each
+                # attempt resets the count, so after the segment it holds the
+                # leaf's train rows after its last attempt, which is
+                # (min(since, n_min - 1) + train rows) mod n_min (_attempt_rows)
+                skipped = leaf[start + (attempt[seg] & ~act[seg]).nonzero()[0]]
+                since = np.bincount(leaf[rows], minlength=self.node_count)[skipped]
+                since = (np.minimum(pool.since[skipped], n_min - 1) + since) % n_min
             if rows.size:
                 pool.absorb(leaf[rows], labels[rows], X[rows])
+            if skips:
+                pool.since[skipped] = since
             start = end + 1
-            if attempt:
+            if acts:
                 idx = int(leaf[end])
                 pool.since[idx] = 0
                 self.attempt_split(idx)
@@ -703,9 +728,12 @@ class Tree:
                 if kind:
                     go_left = X[later, attr] <= value
                     leaf[later] = np.where(go_left, left, right)
-                    trigger[later] = self._attempt_rows(leaf[later], train[later])
-                elif pool.array["frozen"][idx]:
-                    trigger[later] = False
+                    attempt[later], act[later] = self._attempt_rows(
+                        leaf[later], labels[later], train[later])
+                    if self.node_count + 2 > self.params.max_nodes:
+                        act[start:] = attempt[start:]
+                elif pool.frozen[idx]:
+                    attempt[later] = act[later] = False
         return out
 
     def _route(self, X: np.ndarray) -> np.ndarray:
@@ -733,49 +761,84 @@ class Tree:
                 return leaf
             leaf = step
 
-    def _attempt_rows(self, leaf: np.ndarray, train: np.ndarray) -> np.ndarray:
-        """Mask of the rows after which their leaf attempts a split.
+    def _attempt_rows(self, leaf: np.ndarray, labels: np.ndarray, train: np.ndarray):
+        """Masks of the rows after which their leaf attempts a split, and of those that can act.
 
         A non-frozen leaf attempts when its count of samples since the last
         attempt reaches n_min, and the attempt resets the count. So the
         c-th train row at a leaf whose count stands at s attempts when
         min(s, n_min - 1) + c is a multiple of n_min (a snapshot may hold a
-        count past n_min, which attempts at the next row). The mask holds
-        while the leaf stays a non-frozen leaf; the caller updates it when
-        an attempt splits or freezes the leaf.
+        count past n_min, which attempts at the next row). An attempt can
+        act, splitting or freezing the leaf, only when the arena has no
+        room for two more nodes or the leaf has seen two classes by then:
+        in its counts or in its train rows up to the attempt's. Both masks
+        hold while the leaf stays a non-frozen leaf and the arena keeps
+        room; the caller updates them when an attempt splits or freezes
+        the leaf. When every attempt can act, both masks are one array.
         """
         pool, n_min = self._pool, self.params.n_min
-        rows = (train & ~pool.array["frozen"][leaf]).nonzero()[0]
-        at = leaf[rows]
-        since = np.minimum(pool.since[at], n_min - 1) + _ranks(at) + 1
-        mask = np.zeros(len(leaf), dtype=bool)
-        mask[rows] = since % n_min == 0
-        return mask
+        rows = (train & ~pool.frozen[leaf]).nonzero()[0]
+        # the train rows grouped by leaf, each leaf's in order
+        order, grouped, head = _grouped(leaf[rows])
+        rows = rows[order]
+        index = np.arange(len(rows))
+        begins = np.maximum.accumulate(np.where(head, index, 0))
+        since = np.minimum(pool.since[grouped], n_min - 1) + index - begins + 1
+        hit = since % n_min == 0
+        attempt = np.zeros(len(leaf), dtype=bool)
+        attempt[rows] = hit
+        if self.node_count + 2 > self.params.max_nodes or not np.count_nonzero(hit):
+            return attempt, attempt
+        # a leaf's second class comes with its first train row whose label is
+        # not its one seen class, or, unseen, not its first row's label
+        counts = pool.counts[grouped[head]]
+        seen = np.count_nonzero(counts, axis=1)
+        label = labels[rows]
+        one = np.where(seen > 0, counts.argmax(axis=1), label[head])
+        group = head.cumsum() - 1
+        other = (label != one[group]) | (seen > 1)[group]
+        act = np.zeros(len(leaf), dtype=bool)
+        act[rows] = hit & (np.maximum.accumulate(np.where(other, index, -1)) >= begins)
+        return attempt, act
 
     def _answers(self, leaf: np.ndarray, labels: np.ndarray, train: np.ndarray) -> np.ndarray:
         """Each row's prediction, given the segment's earlier train rows.
 
         Row i sees its leaf's counts as the segment began plus the labels
         of the segment's earlier train rows at that leaf, a running count
-        per leaf; argmax ties go to the lowest class, as in majority().
+        per leaf; argmax ties go to the lowest class, as in majority(). The
+        rows are grouped by leaf, and the running counts are one cumulative
+        sum over the groups, less its value where each group starts, in
+        int32, since a block holds at most _BLOCK_ROWS rows.
         """
-        counts = self._pool.counts[leaf]
+        counts = self._pool.counts
         rows = train[:-1].nonzero()[0]
-        if rows.size:
-            order = leaf.argsort(kind="stable")
-            onehot = np.zeros(counts.shape, dtype=np.int64)
-            onehot[rows, labels[rows]] = 1
-            onehot = onehot[order]
-            before = onehot.cumsum(axis=0) - onehot
-            counts[order] += before - before[_run_starts(leaf[order])]
-        return counts.argmax(axis=1)
+        if not rows.size:
+            return counts[leaf].argmax(axis=1)
+        n = len(leaf)
+        order, grouped, head = _grouped(leaf)
+        place = np.empty(n, dtype=np.intp)
+        place[order] = np.arange(n)
+        # before[i]: the train labels, per class, of the grouped rows above i
+        before = np.zeros((n + 1, counts.shape[1]), dtype=np.int32)
+        before[place[rows] + 1, labels[rows]] = 1
+        np.cumsum(before, axis=0, dtype=np.int32, out=before)
+        heads = head.nonzero()[0]
+        seen = (counts[grouped[heads]] - before[heads])[head.cumsum() - 1]
+        seen += before[:n]
+        out = np.empty(n, dtype=np.intp)
+        out[order] = seen.argmax(axis=1)
+        return out
 
     def attempt_split(self, leaf_idx: int) -> tuple[int, float] | None:
         """Split the leaf if the Hoeffding bound justifies it.
 
         Returns (attribute, threshold) when a split happened, else None.
         A leaf that cannot fit two children in the arena is frozen for good
-        and keeps accumulating statistics for prediction only.
+        and keeps accumulating statistics for prediction only. learn() does
+        not call it on a leaf that has seen fewer than two classes while
+        the arena has room, since such an attempt changes nothing; it
+        resets the leaf's count of samples since the last attempt itself.
         """
         if self._nodes[leaf_idx][0]:
             raise ValueError(f"node {leaf_idx} is not a leaf")

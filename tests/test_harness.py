@@ -107,6 +107,22 @@ def test_bundle_dimension_mismatch():
         process_bundle(tree, Bundle([s], 1))
 
 
+def test_train_flags_are_python_or_numpy_bools():
+    rng = np.random.default_rng(5)
+    stream = fuzz_stream(rng, 6)
+    mixed = [Sample(s.features, s.label, np.bool_(s.train) if i % 2 else s.train)
+             for i, s in enumerate(stream)]
+    tree, replay = Tree(make_params()), Tree(make_params())
+    assert process_bundle(tree, Bundle(mixed, 8)) == process_bundle(replay, Bundle(stream, 8))
+    assert serialize(tree) == serialize(replay)
+    for flag in (1, 0, np.int8(1), 1.0, None, "yes"):
+        bad = list(mixed)
+        bad[4] = Sample(bad[4].features, bad[4].label, flag)
+        with pytest.raises(ValueError, match=r"^sample 4: train flag .* is not a bool$"):
+            process_bundle(tree, Bundle(bad, 8))
+    assert serialize(tree) == serialize(replay)
+
+
 def test_empty_bundle_is_a_no_op():
     tree = Tree(make_params())
     assert process_bundle(tree, Bundle([], 8)) == []

@@ -380,6 +380,81 @@ def test_kernel_matches_reference_property(data):
     assert got_bytes == want_bytes
 
 
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_single_class_runs_match_reference_after_every_chunk(data):
+    # labels come in runs of one or two classes, and each class keeps to its
+    # own region, so leaves see one class for long stretches and most of
+    # their attempts cannot act, while two-class runs make splits that can
+    # fill the arena while other leaves go on attempting
+    dims = data.draw(st.integers(1, 3), label="dims")
+    classes = data.draw(st.integers(2, 4), label="classes")
+    params = Hyperparams(
+        dims=dims,
+        classes=classes,
+        n_min=data.draw(st.integers(1, 30), label="n_min"),
+        max_nodes=data.draw(st.sampled_from([1, 3, 7, 63]), label="max_nodes"),
+        tau=data.draw(st.sampled_from([0.05, 1.0]), label="tau"),
+    )
+    pair = st.lists(st.integers(0, classes - 1), min_size=1, max_size=2)
+    runs = data.draw(st.lists(st.tuples(pair, st.integers(1, 80)), min_size=1, max_size=8),
+                     label="runs")
+    n = sum(length for _, length in runs)
+    picks = iter(data.draw(st.lists(st.booleans(), min_size=n, max_size=n), label="picks"))
+    labels = [run[-1] if next(picks) else run[0] for run, length in runs for _ in range(length)]
+    noise = data.draw(arrays(np.float32, (n, dims), elements=st.floats(-0.25, 0.25, width=32)),
+                      label="noise")
+    share = data.draw(st.sampled_from([0.5, 0.9, 1.0]), label="train share")
+    flags = data.draw(st.lists(st.floats(0, 1), min_size=n, max_size=n), label="flags")
+    chunk = data.draw(st.integers(1, n), label="chunk")
+    stream = [Sample(np.float32(y) + x, y, f < share) for x, y, f in zip(noise, labels, flags)]
+    ref, tree = ReferenceTree(params), Tree(params)
+    for start in range(0, n, chunk):
+        part = stream[start : start + chunk]
+        want = [ref.train(s) if s.train else ref.infer(s.features) for s in part]
+        assert process_bundle(tree, Bundle(part, chunk)) == want
+        assert serialize(tree) == reference_snapshot(ref)
+
+
+def test_one_class_stream_makes_no_split_attempt(monkeypatch):
+    attempts = []
+    attempt_split = Tree.attempt_split
+
+    def counting(self, leaf_idx):
+        attempts.append(leaf_idx)
+        return attempt_split(self, leaf_idx)
+
+    monkeypatch.setattr(Tree, "attempt_split", counting)
+    params = Hyperparams(dims=2, classes=3, n_min=10)
+    rng = np.random.default_rng(4)
+    stream = [Sample(x, 1) for x in rng.normal(size=(1_000, 2)).astype(np.float32)]
+    ref, tree = ReferenceTree(params), Tree(params)
+    for start in range(0, len(stream), 37):
+        part = stream[start : start + 37]
+        assert process_bundle(tree, Bundle(part, 37)) == [ref.train(s) for s in part]
+        since = ref.arena[0].stats.since_last_attempt
+        assert tree.arena[0].stats.since_last_attempt == since == (start + len(part)) % 10
+    assert attempts == []
+    assert serialize(tree) == reference_snapshot(ref)
+
+
+@pytest.mark.parametrize("max_nodes", [3, 7])
+def test_arena_filled_mid_chunk_freezes_every_leaf(max_nodes):
+    # four classes in four regions: splits make one-class leaves until the
+    # arena is full, and from then on every attempt freezes its leaf, at the
+    # leaves a split re-routed rows to and, at 7 nodes, at the others too
+    rng = np.random.default_rng(11)
+    labels = rng.integers(0, 4, 3_000)
+    X = (labels[:, None] + rng.uniform(-0.25, 0.25, (3_000, 2))).astype(np.float32)
+    params = Hyperparams(dims=2, classes=4, n_min=20, tau=1.0, max_nodes=max_nodes)
+    stream = [Sample(x, int(y)) for x, y in zip(X, labels)]
+    _, ref = assert_kernel_matches_reference(params, stream, [1_000, 3_000])
+    leaves = [n.stats for n in ref.arena if n.stats is not None]
+    assert ref.node_count == max_nodes and all(stats.frozen for stats in leaves)
+    if max_nodes == 7:
+        assert sum(np.count_nonzero(stats.class_counts) == 1 for stats in leaves) == 3
+
+
 def test_counter_past_n_min_attempts_at_the_next_train_row():
     # only a snapshot can put such a count on a non-frozen leaf; the
     # per-sample loop attempts at that leaf's next train row
@@ -414,6 +489,25 @@ def test_one_signum_update_per_wave(monkeypatch):
     labels = np.arange(30) % 3
     tree.learn(X, labels, np.ones(30, dtype=bool))
     assert calls == [3] * 10
+
+    # cells of 6, 1 and 3 rows: the largest cell first, so wave t is a
+    # prefix of the block and wave sizes never grow
+    calls.clear()
+    labels = np.repeat([2, 0, 1, 0], [3, 2, 1, 4])
+    tree.learn(X[: len(labels)], labels, np.ones(len(labels), dtype=bool))
+    assert calls == [3, 2, 2, 1, 1, 1]
+
+    # rows that all hit one cell update its record in place, one call each
+    in_place = []
+
+    def recording(estimates, x, up, down):
+        in_place.append(np.shares_memory(estimates, tree._pool.array))
+        signum_update(estimates, x, up, down)
+
+    monkeypatch.setattr(tree_module, "signum_update", recording)
+    tree.learn(X[:5], np.full(5, 2), np.ones(5, dtype=bool))
+    assert in_place == [True] * 5
+    assert tree.arena[0].stats.class_counts.tolist() == [16, 11, 18]
 
 
 def test_learn_answers_infer_rows_without_training():

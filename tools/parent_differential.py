@@ -3,7 +3,7 @@
     python tools/parent_differential.py REF
 
 Extracts the files of commit REF (for example HEAD~1) with `git archive`
-into a temporary directory, then trains the same 132 trees with the
+into a temporary directory, then trains the same 138 trees with the
 streamtree package under src/ of this checkout and with REF's, one
 process per side, and compares them:
 
@@ -12,7 +12,11 @@ process per side, and compares them:
 - criterion 8's drifting stream at max_nodes 1, 3, 7 and 100;
 - a Covertype-shaped D=54 K=7 stream at max_nodes 2047 and 15;
 - frozen-leaf trees at max_nodes 3 and 7;
-- train masks of share 0.1 and 0.9 at max_nodes 2047 and 7.
+- train masks of share 0.1 and 0.9 at max_nodes 2047 and 7;
+- acceptance seeds 0 and 1 at n_min 1 and 7, where segments are short;
+- a stream of four classes in four regions, whose leaves hold one class,
+  at max_nodes 3 and 7, so that most attempts cannot act and the arena
+  fills in the middle of a chunk.
 
 Each stream is fed through process_bundle in chunks of 1, 37, 1,000 and
 5,000 rows and as single train()/infer() calls; every feeding must give
@@ -41,7 +45,7 @@ CHUNKS = (1, 37, 1_000, 5_000)
 
 
 def corpus(st, np):
-    """(name, params, stream) of the 132 trees."""
+    """(name, params, stream) of the 138 trees."""
     H, S, D = st.Hyperparams, st.Sample, st.DatasetSpec
     for seed in range(20):
         spec = D(clusters=5, dims=3, samples=40_000, cluster_spread=0.04, center_box=2.0, seed=seed)
@@ -94,6 +98,20 @@ def corpus(st, np):
         for nodes in (2047, 7):
             params = H(dims=3, classes=5, tau=0.1, n_min=50, max_nodes=nodes)
             yield f"masked-{share}-{nodes}", params, masked
+
+    for seed in (0, 1):
+        spec = D(clusters=5, dims=3, samples=40_000, cluster_spread=0.04, center_box=2.0, seed=seed)
+        stream = st.generate_clusters(spec)
+        for n_min in (1, 7):
+            yield f"acceptance-{seed}-n_min-{n_min}", H(dims=3, classes=5, tau=0.1, n_min=n_min), stream
+
+    rng = np.random.default_rng(11)
+    labels = rng.integers(0, 4, 3_000)
+    X = (labels[:, None] + rng.uniform(-0.25, 0.25, (3_000, 2))).astype(np.float32)
+    regions = [S(x, int(y)) for x, y in zip(X, labels)]
+    for nodes in (3, 7):
+        params = H(dims=2, classes=4, n_min=20, tau=1.0, max_nodes=nodes)
+        yield f"one-class-leaves-{nodes}", params, regions
 
 
 def sha(data) -> str:
