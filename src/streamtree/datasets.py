@@ -62,7 +62,8 @@ def generate_clusters(spec: DatasetSpec) -> list[Sample]:
     noise = rng.normal(0.0, spec.cluster_spread, (spec.samples, spec.dims))
     labels = np.arange(spec.samples) % spec.clusters
     features = (centers[labels] + noise).astype(np.float32)
-    return [Sample(features[i], int(labels[i]), True) for i in range(spec.samples)]
+    # one row view and one small int per sample, with the flag left at True
+    return list(map(Sample, features, labels.tolist()))
 
 
 @dataclass

@@ -45,15 +45,38 @@ class Bundle:
             raise ValueError(
                 f"{len(self.samples)} samples exceed capacity {self.capacity}"
             )
-        dims = {len(s.features) for s in self.samples}
-        if len(dims) > 1:
-            raise ValueError(f"samples disagree on feature count: {sorted(dims)}")
+        try:
+            counts = {len(s.features) for s in self.samples}
+        except TypeError:  # a scalar has no len()
+            counts = None
+        if counts is None or len(counts) > 1:
+            _name_odd_row(self.samples)
+
+
+def _name_odd_row(samples: Sequence[Sample]) -> None:
+    """Raise a ValueError naming the first sample whose features are not one row like sample 0's."""
+    first = None
+    for i, s in enumerate(samples):
+        try:
+            shape = np.shape(s.features)
+        except ValueError:
+            raise ValueError(f"sample {i}: features are not numbers") from None
+        if first is None and len(shape) == 1:
+            first = shape
+        if shape != first:
+            expected = "one row of features" if first is None else f"{first[0]} features, as sample 0"
+            raise ValueError(f"sample {i}: expected {expected}, got shape {shape}")
 
 
 def split_into_bundles(samples: Sequence[Sample], capacity: int) -> Iterator[Bundle]:
-    """Chop a stream into maximal bundles, preserving order."""
-    for start in range(0, len(samples), capacity):
-        yield Bundle(list(samples[start : start + capacity]), capacity)
+    """Chop a stream into maximal bundles, preserving order.
+
+    A capacity below 1 raises a ValueError at the call, before any slicing.
+    """
+    if capacity < 1:
+        raise ValueError("capacity must be positive")
+    return (Bundle(list(samples[start : start + capacity]), capacity)
+            for start in range(0, len(samples), capacity))
 
 
 def _rows(tree: Tree, samples: Sequence[Sample]):

@@ -82,20 +82,25 @@ class Hyperparams:
             raise ValueError("max_nodes must be positive")
 
 
-@dataclass
+@dataclass(slots=True)
 class Sample:
     """One feature vector with its label and a train/infer flag.
 
     The label is only meaningful when train is set; inference-only samples
-    may leave it at the default.
+    may leave it at the default. A slotted record: an f32 ndarray is kept
+    as given, anything else is cast to one.
     """
 
     features: np.ndarray
     label: int = 0
     train: bool = True
 
-    def __post_init__(self) -> None:
-        self.features = _as_f32(self.features)
+    def __init__(self, features, label: int = 0, train: bool = True) -> None:
+        if type(features) is not np.ndarray or features.dtype is not _F32:
+            features = _as_f32(features)
+        self.features = features
+        self.label = label
+        self.train = train
 
 
 _KIND_LEAF, _KIND_INTERNAL = 0, 1

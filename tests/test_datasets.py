@@ -10,6 +10,7 @@ from streamtree.datasets import (
     load_csv,
     write_samples_csv,
 )
+from streamtree.tree import Sample
 
 
 def test_round_robin_labels():
@@ -41,6 +42,26 @@ def test_small_spread_is_nearest_center_separable():
     means = np.stack([X[y == k].mean(axis=0) for k in range(5)])
     dist = ((X[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
     assert (dist.argmin(axis=1) == y).mean() >= 0.99
+
+
+@pytest.mark.parametrize("clusters,dims,spread,seed", [(5, 3, 0.04, 11), (7, 54, 0.5, 1)])
+def test_generator_equals_per_row_reference(clusters, dims, spread, seed):
+    # the stream as generate_clusters once built it, one indexed Sample per row
+    spec = DatasetSpec(clusters=clusters, dims=dims, samples=2_003, cluster_spread=spread, seed=seed)
+    rng = np.random.default_rng(seed)
+    centers = rng.uniform(-spec.center_box, spec.center_box, (clusters, dims))
+    noise = rng.normal(0.0, spread, (spec.samples, dims))
+    labels = np.arange(spec.samples) % clusters
+    features = (centers[labels] + noise).astype(np.float32)
+    reference = [Sample(features[i], int(labels[i]), True) for i in range(spec.samples)]
+
+    samples = generate_clusters(spec)
+    assert len(samples) == len(reference)
+    for got, want in zip(samples, reference):
+        assert got.features.dtype == np.float32 and got.features.shape == (dims,)
+        assert got.features.tobytes() == want.features.tobytes()
+        assert type(got.label) is int and got.label == want.label
+        assert got.train is True
 
 
 def test_all_samples_train_flagged():

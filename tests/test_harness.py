@@ -43,8 +43,19 @@ def test_bundle_validation():
         Bundle([s], capacity=0)
     with pytest.raises(ValueError):
         Bundle([s, s, s], capacity=2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^sample 1: expected 2 features, as sample 0, got shape \(3,\)$"):
         Bundle([s, Sample(np.zeros(3, dtype=np.float32))], capacity=5)
+    with pytest.raises(ValueError, match=r"^sample 0: expected one row of features, got shape \(\)$"):
+        Bundle([Sample(1.0)], 1)
+    with pytest.raises(ValueError, match=r"^sample 2: expected 2 features, as sample 0, got shape \(1, 2\)$"):
+        Bundle([s, s, Sample(np.zeros((1, 2)))], capacity=5)
+
+
+@pytest.mark.parametrize("capacity", [0, -1])
+def test_split_into_bundles_rejects_non_positive_capacity(capacity):
+    stream = fuzz_stream(np.random.default_rng(0), 5)
+    with pytest.raises(ValueError, match="^capacity must be positive$"):
+        split_into_bundles(stream, capacity)
 
 
 def test_split_into_bundles_preserves_order():

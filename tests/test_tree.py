@@ -1,7 +1,10 @@
 """Tests for the tree learner: bound, routing, training, splits, gains."""
 
+import copy
+import dataclasses
 import hashlib
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -92,6 +95,35 @@ def test_hyperparams_validation():
         Hyperparams(dims=1, classes=2, n_pt=17, n_quantiles=16)
     with pytest.raises(ValueError):
         Hyperparams(dims=1, classes=2, max_nodes=0)
+
+
+def test_sample_is_a_slotted_record():
+    x = np.array([0.5, -1.0], dtype=np.float32)
+    s = Sample(x, 1)
+    assert not hasattr(s, "__dict__")
+    assert s.features is x and (s.label, s.train) == (1, True)
+    for given in ([0.5, -1.0], np.array([0.5, -1.0]), (0.5, -1.0)):
+        cast = Sample(given, label=1, train=False).features
+        assert cast.dtype == np.float32 and cast.tobytes() == x.tobytes()
+    assert Sample(x).label == 0 and Sample(x).train is True
+
+    assert dataclasses.replace(s, label=2) == Sample(x, 2)
+    assert dataclasses.replace(s, features=[1.0, 2.0]).features.dtype == np.float32
+    copied = copy.copy(s)
+    assert copied == s and copied is not s and copied.features is x
+    loaded = pickle.loads(pickle.dumps(s))
+    assert loaded.features.tobytes() == x.tobytes() and (loaded.label, loaded.train) == (1, True)
+    s.features = np.zeros(2)  # still mutable, and not cast on assignment
+    assert s.features.dtype == np.float64
+
+    # the generated dataclass comparison and repr
+    one = np.array([2.0], dtype=np.float32)
+    assert Sample(one, 1) == Sample(one, 1) == Sample(one.copy(), 1)
+    assert Sample(one, 1) != Sample(one, 2) and Sample(one, 1) != Sample(one, 1, False)
+    assert Sample(one, 1) != (one, 1, True)
+    assert repr(Sample(one, 3, False)) == (
+        "Sample(features=array([2.], dtype=float32), label=3, train=False)"
+    )
 
 
 # ---------------------------------------------------------------- routing

@@ -18,6 +18,10 @@ process per side, and compares them:
   at max_nodes 3 and 7, so that most attempts cannot act and the arena
   fills in the middle of a chunk.
 
+Each side first hashes every corpus stream (feature bytes, labels and
+train flags). A stream that differs means the generators differ: the
+script names those corpora and compares answers only on the others, so a
+changed generator does not read as a wall of answer mismatches.
 Each stream is fed through process_bundle in chunks of 1, 37, 1,000 and
 5,000 rows and as single train()/infer() calls; every feeding must give
 the other side's answers and serialize() sha256. On every final tree, and
@@ -120,6 +124,14 @@ def sha(data) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def stream_digest(stream, np) -> str:
+    """sha256 of a stream's f32 feature rows, int64 labels and bool train flags."""
+    features = np.array([s.features for s in stream], dtype=np.float32)
+    labels = np.array([s.label for s in stream], dtype=np.int64)
+    flags = np.array([s.train for s in stream], dtype=bool)
+    return sha(repr(features.shape).encode() + features.tobytes() + labels.tobytes() + flags.tobytes())
+
+
 def probe_rows(tree, stream, np):
     """The stream's rows, random rows, and rows of every threshold and +-0.0."""
     dims = tree.params.dims
@@ -140,8 +152,9 @@ def worker(src: str) -> None:
     import numpy as np
     import streamtree as st
 
-    out, nodes, frozen = {}, 0, 0
+    streams, out, nodes, frozen = {}, {}, 0, 0
     for name, params, stream in corpus(st, np):
+        streams[name] = stream_digest(stream, np)
         for chunk in CHUNKS:
             tree = st.Tree(params)
             answers = []
@@ -162,8 +175,8 @@ def worker(src: str) -> None:
         nodes += tree.node_count
         frozen += sum(bool(tree.arena[i].stats.frozen) for i in tree.leaf_indices())
         print(f"{src}: {name}", file=sys.stderr, flush=True)
-    out["summary"] = {"nodes": nodes, "frozen_leaves": frozen}
-    print(json.dumps(out))
+    summary = {"nodes": nodes, "frozen_leaves": frozen}
+    print(json.dumps({"streams": streams, "digests": out, "summary": summary}))
 
 
 def main() -> int:
@@ -194,16 +207,21 @@ def main() -> int:
             results[label] = json.loads(stdout)
 
     mine, theirs = results.values()
-    mismatches = [key for key in theirs if key != "summary" and mine.get(key) != theirs[key]]
-    trees = len({key.split("/")[0] for key in theirs if key != "summary"})
-    print(f"{trees} trees, {mine['summary']['nodes']} nodes, "
+    changed = {name for name, digest in theirs["streams"].items()
+               if mine["streams"].get(name) != digest}
+    for name in sorted(changed):
+        print(f"STREAM MISMATCH {name}: the generators differ, its answers are not compared")
+    compared = [key for key in theirs["digests"] if key.split("/")[0] not in changed]
+    mismatches = [key for key in compared if mine["digests"].get(key) != theirs["digests"][key]]
+    print(f"{len(theirs['streams'])} trees, {mine['summary']['nodes']} nodes, "
           f"{mine['summary']['frozen_leaves']} frozen leaves "
           f"({args.ref}: {theirs['summary']['nodes']} nodes, "
           f"{theirs['summary']['frozen_leaves']} frozen leaves)")
     for key in mismatches:
         print(f"MISMATCH {key}")
-    print(f"{len(theirs) - 1 - len(mismatches)} of {len(theirs) - 1} digests agree")
-    return 1 if mismatches or mine["summary"] != theirs["summary"] else 0
+    print(f"{len(theirs['streams']) - len(changed)} of {len(theirs['streams'])} streams agree; "
+          f"{len(compared) - len(mismatches)} of {len(compared)} compared digests agree")
+    return 1 if changed or mismatches or mine["summary"] != theirs["summary"] else 0
 
 
 if __name__ == "__main__":
