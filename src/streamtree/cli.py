@@ -5,7 +5,8 @@ trains and evaluates a tree prequentially (from a synthetic spec or a CSV
 file, optionally resuming from and saving to binary snapshots), and mem
 tabulates serialized model sizes over a parameter grid.
 
-Exit codes: 0 success, 1 usage error, 2 data error.
+Exit codes: 0 success, 1 usage error, 2 data error. A flag value outside
+the range the library accepts is a usage error that names the flag.
 """
 
 from __future__ import annotations
@@ -29,8 +30,35 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(t) for t in text.split(",") if t]
+def _checked(cast, test, rule: str):
+    """An argparse type: the text cast, refused with rule unless test holds for it."""
+
+    def parse(text: str):
+        value = cast(text)
+        if not test(value):
+            raise argparse.ArgumentTypeError(rule)
+        return value
+
+    parse.__name__ = cast.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
+_POSITIVE = _checked(int, lambda v: v >= 1, "must be positive")
+_TWO_OR_MORE = _checked(int, lambda v: v >= 2, "must be at least 2")
+_POSITIVE_FLOAT = _checked(float, lambda v: v > 0.0, "must be positive")
+
+
+def _int_list(item):
+    """An argparse type: a non-empty comma-separated list, each value parsed by item."""
+
+    def parse(text: str) -> list[int]:
+        values = [item(t) for t in text.split(",") if t]
+        if not values:
+            raise argparse.ArgumentTypeError("must list at least one value")
+        return values
+
+    parse.__name__ = "int list"
+    return parse
 
 
 def _str_list(text: str) -> list[str]:
@@ -39,21 +67,23 @@ def _str_list(text: str) -> list[str]:
 
 def _add_hyperparam_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("tree parameters")
-    group.add_argument("--delta", type=float, default=0.001, help="split confidence (default 0.001)")
-    group.add_argument("--lambda", dest="lam", type=float, default=0.01, help="sketch step (default 0.01)")
-    group.add_argument("--tau", type=float, default=0.05, help="tie-break threshold (default 0.05)")
-    group.add_argument("--n-min", type=int, default=200, help="samples between split attempts (default 200)")
-    group.add_argument("--n-pt", type=int, default=10, help="candidate thresholds per attribute (default 10)")
-    group.add_argument("--n-quantiles", type=int, default=16, help="quantile estimates per sketch (default 16)")
-    group.add_argument("--max-nodes", type=int, default=2047, help="node arena capacity (default 2047)")
+    group.add_argument("--delta", type=_checked(float, lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"),
+                       default=0.001, help="split confidence (default 0.001)")
+    group.add_argument("--lambda", dest="lam", type=_POSITIVE_FLOAT, default=0.01, help="sketch step (default 0.01)")
+    group.add_argument("--tau", type=_checked(float, lambda v: v >= 0.0, "must be non-negative"),
+                       default=0.05, help="tie-break threshold (default 0.05)")
+    group.add_argument("--n-min", type=_POSITIVE, default=200, help="samples between split attempts (default 200)")
+    group.add_argument("--n-pt", type=_POSITIVE, default=10, help="candidate thresholds per attribute (default 10)")
+    group.add_argument("--n-quantiles", type=_POSITIVE, default=16, help="quantile estimates per sketch (default 16)")
+    group.add_argument("--max-nodes", type=_POSITIVE, default=2047, help="node arena capacity (default 2047)")
 
 
 def _add_synthetic_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("synthetic stream")
-    group.add_argument("--clusters", type=int, default=5, help="number of clusters/classes (default 5)")
-    group.add_argument("--dims", type=int, default=3, help="feature count (default 3)")
-    group.add_argument("--samples", type=int, default=40000, help="stream length (default 40000)")
-    group.add_argument("--spread", type=float, default=0.1, help="cluster noise scale (default 0.1)")
+    group.add_argument("--clusters", type=_TWO_OR_MORE, default=5, help="number of clusters/classes (default 5)")
+    group.add_argument("--dims", type=_POSITIVE, default=3, help="feature count (default 3)")
+    group.add_argument("--samples", type=_POSITIVE, default=40000, help="stream length (default 40000)")
+    group.add_argument("--spread", type=_POSITIVE_FLOAT, default=0.1, help="cluster noise scale (default 0.1)")
     group.add_argument("--center-box", type=float, default=2.0, help="half-width of the center box (default 2.0)")
     group.add_argument("--seed", type=int, default=0, help="generator seed (default 0)")
 
@@ -77,20 +107,20 @@ def build_parser() -> argparse.ArgumentParser:
     csv_group.add_argument("--categorical-cols", type=_str_list, default=[], help="feature columns to ordinal-encode")
     csv_group.add_argument("--no-header", action="store_true", help="file has no header row; columns are indices")
     csv_group.add_argument("--delimiter", default=",", help="field delimiter (default ',')")
-    csv_group.add_argument("--classes", type=int, help="label count (default: observed cardinality)")
+    csv_group.add_argument("--classes", type=_POSITIVE, help="label count (default: observed cardinality)")
     _add_hyperparam_flags(run)
-    run.add_argument("--window", type=int, default=1000, help="windowed accuracy size (default 1000)")
+    run.add_argument("--window", type=_POSITIVE, default=1000, help="windowed accuracy size (default 1000)")
     run.add_argument("--report", help="write the report as JSON to this path")
     run.add_argument("--snapshot-in", help="resume from this tree snapshot")
     run.add_argument("--snapshot-out", help="save the trained tree snapshot here")
     run.add_argument("--time-inference", action="store_true", help="time a read-only inference pass too")
 
     mem = sub.add_parser("mem", help="tabulate serialized model sizes")
-    mem.add_argument("--max-nodes", type=_int_list, default=list(DEFAULT_NODE_SWEEP),
+    mem.add_argument("--max-nodes", type=_int_list(_POSITIVE), default=list(DEFAULT_NODE_SWEEP),
                      help="comma-separated capacities (default 1,2,4,...,128)")
-    mem.add_argument("--dims", type=_int_list, default=[3, 100], help="comma-separated feature counts")
-    mem.add_argument("--classes", type=_int_list, default=[5, 10], help="comma-separated class counts")
-    mem.add_argument("--n-quantiles", type=int, default=16)
+    mem.add_argument("--dims", type=_int_list(_POSITIVE), default=[3, 100], help="comma-separated feature counts")
+    mem.add_argument("--classes", type=_int_list(_TWO_OR_MORE), default=[5, 10], help="comma-separated class counts")
+    mem.add_argument("--n-quantiles", type=_POSITIVE, default=16)
     mem.add_argument("--format", choices=("table", "csv", "json"), default="table")
     mem.add_argument("--out", help="write output here instead of stdout")
     return parser
@@ -160,6 +190,8 @@ def _cmd_run(args) -> int:
                 f"snapshot expects {tree.params.dims} features, stream has {dims}"
             )
     else:
+        if args.n_pt > args.n_quantiles:
+            raise SystemExit2("argument --n-pt: must not exceed --n-quantiles")
         params = Hyperparams(
             dims=dims, classes=classes, delta=args.delta, lam=args.lam,
             tau=args.tau, n_min=args.n_min, n_pt=args.n_pt,

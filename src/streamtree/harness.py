@@ -17,7 +17,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .serialize import model_bytes
-from .tree import Hyperparams, Sample, Tree, _as_f32
+from .tree import Hyperparams, Sample, Tree, _as_f32, _sample_fault
 
 __all__ = [
     "Bundle",
@@ -110,13 +110,10 @@ def _rows(tree: Tree, samples: Sequence[Sample]):
         if x.shape != (dims,):
             raise ValueError(f"sample {i}: expected {dims} features, got shape {x.shape}")
         X[i] = x
-        if not isinstance(s.train, (bool, np.bool_)):
-            raise ValueError(f"sample {i}: train flag {s.train!r} is not a bool")
+        fault = _sample_fault(s, classes)
+        if fault:
+            raise ValueError(f"sample {i}: {fault}")
         if s.train:
-            if not isinstance(s.label, (int, np.integer)) or not 0 <= s.label < classes:
-                raise ValueError(
-                    f"sample {i}: label {s.label!r} is not a class index below {classes}"
-                )
             labels[i] = s.label
     return X, labels, np.array(flags, dtype=bool)
 

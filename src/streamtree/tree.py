@@ -128,6 +128,22 @@ def _record_dtype(dims: int, classes: int, n_quantiles: int, live: bool = False)
 _F32 = np.dtype(np.float32)
 
 
+def _sample_fault(sample: Sample, classes: int) -> str | None:
+    """What makes a sample unusable for learning, or None.
+
+    The train flag must be a bool and a flagged sample's label an integer
+    class index; nothing is cast, so a flag of 1 and a label of 2.9 or "1"
+    are refused. The features are checked elsewhere.
+    """
+    if not isinstance(sample.train, (bool, np.bool_)):
+        return f"train flag {sample.train!r} is not a bool"
+    label = sample.label
+    integer = isinstance(label, (int, np.integer))
+    if sample.train and not (integer and 0 <= label < classes):
+        return f"label {int(label) if integer else repr(label)} is not a class index below {classes}"
+    return None
+
+
 def _as_f32(values) -> np.ndarray:
     """values as f32; one past the f32 range casts to inf, which callers reject, unwarned."""
     if type(values) is np.ndarray and values.dtype is _F32:
@@ -144,14 +160,20 @@ class _Records:
     serialize() derives: the sketch counts, from the class counts, and the
     samples since the last split attempt, from since, a live int64 count
     that may pass the wire's u32. counts, sketch and frozen view the class
-    counts, which every infer() reads, the sketch grids and the frozen
-    flags. The arrays hold a slot per node and grow by doubling.
+    counts, the sketch grids and the frozen flags. The arrays hold a slot
+    per node and grow by doubling.
+
+    answer, which one-row infer() reads, is a list with each slot's
+    majority class, or -1 where it is not known. Writers only invalidate:
+    a slot whose counts may have changed goes back to -1, and majority()
+    computes it again from the counts on the next read.
     """
 
-    __slots__ = ("array", "since", "counts", "sketch", "frozen", "targets", "up", "down")
+    __slots__ = ("array", "since", "counts", "sketch", "frozen", "answer", "targets", "up", "down")
 
     def __init__(self, params: Hyperparams, array: np.ndarray, since: np.ndarray) -> None:
         self._bind(array, since)
+        self.answer = [-1] * len(array)
         self.targets = quantile_targets(params.n_quantiles)
         self.up, self.down = _signum_steps(params.n_quantiles, params.lam)
 
@@ -170,14 +192,25 @@ class _Records:
     def reserve(self, slots: int, limit: int) -> None:
         """Make room for at least slots slots, growing by doubling up to limit.
 
-        New slots are zero. The arrays are replaced, so views taken before a
-        reserve() may be stale after it; LeafStats re-reads them."""
+        New slots are zero, their answers unknown. The arrays are replaced,
+        so views taken before a reserve() may be stale after it; LeafStats
+        re-reads them."""
         have = len(self.array)
         if slots <= have:
             return
         more = max(slots, min(2 * have, limit)) - have
         self._bind(*(np.concatenate((a, np.zeros((more,) + a.shape[1:], a.dtype)))
                      for a in (self.array, self.since)))
+        self.answer += [-1] * more
+
+    def majority(self, slot: int) -> int:
+        """The slot's most frequent class, ties to the lowest; computed once per change."""
+        answer = self.answer[slot]
+        if answer < 0:
+            # a list's max beats an argmax of the packed record's unaligned row
+            counts = self.counts[slot].tolist()
+            answer = self.answer[slot] = counts.index(max(counts))
+        return answer
 
     def absorb(self, slots: np.ndarray, labels: np.ndarray, x: np.ndarray) -> None:
         """Fold row i of x, (rows, dims), into class labels[i] of slot slots[i], in order.
@@ -191,12 +224,13 @@ class _Records:
         block[:m_t] with a contiguous slice of the rows, before one scatter
         back. Rows that all hit one cell update its sketch row in place. A
         cell's first sample ever seeds every knot at its value, so its own
-        step moves nothing.
+        step moves nothing. Every touched slot's answer becomes unknown.
         """
         classes = self.counts.shape[1]
         keys = slots * classes + labels
         if len(keys) == 1 or (keys == keys[0]).all():
             slot, label = int(slots[0]), int(labels[0])
+            self.answer[slot] = -1
             row = self.sketch[slot, label]
             fresh = not self.counts[slot, label]
             if fresh:
@@ -209,6 +243,8 @@ class _Records:
         cells, sizes, rows, bounds = _prefix_waves(keys)
         x = x[rows, :, None]
         cell = np.divmod(cells, classes)
+        for slot in cell[0].tolist():
+            self.answer[slot] = -1
         block = self.sketch[cell]
         seen = self.counts[cell]
         # the first wave holds every cell once, in block order
@@ -233,6 +269,10 @@ class LeafStats:
     QuantileSketch fed the same scalars. class_counts and sketch_estimates
     are views into the records, which a split may replace to make room for
     its children: read them again after training rather than keeping them.
+    Reading class_counts marks the leaf's cached answer unknown, since the
+    caller may write through the view; a view kept across an infer() call
+    and written after it is not seen by later infer() calls, so read
+    class_counts again before each write.
     """
 
     __slots__ = ("_pool", "_slot")
@@ -243,6 +283,7 @@ class LeafStats:
 
     @property
     def class_counts(self) -> np.ndarray:
+        self._pool.answer[self._slot] = -1
         return self._pool.counts[self._slot]
 
     @property
@@ -275,7 +316,7 @@ class LeafStats:
 
     def majority(self) -> int:
         """Most frequent class; ties and the empty leaf resolve to the lowest index."""
-        return int(self._pool.counts[self._slot].argmax())
+        return self._pool.majority(self._slot)
 
     def absorb(self, label: int, features: np.ndarray) -> None:
         """Fold one training sample into the counts and the label's sketch row."""
@@ -560,9 +601,10 @@ class Tree:
     """Fixed-capacity incremental decision tree; a fresh tree is one empty leaf.
 
     Its at most max_nodes nodes live in one record array in the snapshot
-    layout (_Records), which tree.arena[i] views; one-row descent reads
-    _nodes, a Python list mirror of their kind and split fields. Children
-    follow their parent, so the root is node 0. One writer at a time.
+    layout (_Records), which tree.arena[i] views. One-row calls read two
+    Python lists beside it: _nodes, a mirror of the kind and split fields
+    that _leaf() descends, and the records' answer list. Children follow
+    their parent, so the root is node 0. One writer at a time.
     """
 
     root = 0
@@ -580,20 +622,29 @@ class Tree:
     def arena(self) -> _Arena:
         return _Arena(self)
 
-    def _check_features(self, features) -> tuple[np.ndarray, list[float]]:
-        """The row as f32 and as Python floats, checked for shape and finiteness.
+    def _leaf(self, features) -> int:
+        """Leaf index of one row, checked for shape and finiteness first.
 
-        The f64 sum of f32 values cannot overflow, and a NaN or an infinity
-        carries through to it, so the sum is finite exactly when every value
-        is.
+        The row is cast to f32 and turned into Python floats once. The f64
+        sum of f32 values cannot overflow, and a NaN or an infinity carries
+        through to it, so the sum is finite exactly when every value is.
+        Thresholds are f32 values too, so comparing the floats gives the f32
+        comparison without indexing numpy scalars.
         """
-        x = _as_f32(features)
-        if x.shape != (self.params.dims,):
-            raise ValueError(f"expected {self.params.dims} features, got shape {x.shape}")
-        values = x.tolist()
+        if type(features) is not np.ndarray or features.dtype is not _F32:
+            features = _as_f32(features)
+        if features.shape != (self.params.dims,):
+            raise ValueError(f"expected {self.params.dims} features, got shape {features.shape}")
+        values = features.tolist()
         if not math.isfinite(sum(values)):
             raise ValueError("features must be finite")
-        return x, values
+        nodes = self._nodes
+        idx = 0
+        kind, attr, value, left, right = nodes[0]
+        while kind:
+            idx = left if values[attr] <= value else right
+            kind, attr, value, left, right = nodes[idx]
+        return idx
 
     def _check_rows(self, X) -> np.ndarray:
         """Rows as an f32 (rows, dims) array; a ValueError names the first non-finite one."""
@@ -605,29 +656,19 @@ class Tree:
             raise ValueError(f"sample {int(np.argmin(finite))}: features must be finite")
         return X
 
-    def _descend(self, values: list[float]) -> int:
-        """Leaf index of one row of Python floats.
-
-        Thresholds are f32 values too, so comparing the floats gives the f32
-        comparison without indexing numpy scalars.
-        """
-        nodes = self._nodes
-        idx = 0
-        kind, attr, value, left, right = nodes[0]
-        while kind:
-            idx = left if values[attr] <= value else right
-            kind, attr, value, left, right = nodes[idx]
-        return idx
-
     def sort_to_leaf(self, features) -> int:
         """Index of the leaf this feature vector routes to. No mutation."""
-        return self._descend(self._check_features(features)[1])
+        return self._leaf(features)
 
     def infer(self, features) -> int:
-        """Majority class of the routed leaf, ties to the lowest class. No mutation."""
-        # a list's max beats an argmax of the packed record's unaligned row
-        counts = self._pool.counts[self._descend(self._check_features(features)[1])].tolist()
-        return counts.index(max(counts))
+        """Majority class of the routed leaf, ties to the lowest class.
+
+        Reads the leaf's cached answer; only the first call after the
+        leaf's counts change computes it. The tree's model is unchanged."""
+        pool = self._pool
+        idx = self._leaf(features)
+        answer = pool.answer[idx]
+        return answer if answer >= 0 else pool.majority(idx)
 
     def predict(self, X) -> np.ndarray:
         """infer() of every row of X, (rows, dims), routed in lockstep. No mutation."""
@@ -640,13 +681,14 @@ class Tree:
         routed leaf re-evaluates its split decision, unless frozen. The
         one-row case of learn().
         """
+        fault = _sample_fault(sample, self.params.classes)
+        if fault:
+            raise ValueError(fault)
         if not sample.train:
             raise ValueError("sample is not flagged for training")
-        label = int(sample.label)
-        if not 0 <= label < self.params.classes:
-            raise ValueError(f"label {label} out of range for {self.params.classes} classes")
-        x, _ = self._check_features(sample.features)
-        return int(self._learn(x[None], np.array([label]), np.array([True]))[0])
+        x = _as_f32(sample.features)
+        self._leaf(x)  # the row check
+        return int(self._learn(x[None], np.array([int(sample.label)]), np.array([True]))[0])
 
     def learn(self, X, labels, train_mask) -> np.ndarray:
         """Infer-then-train over rows in order; returns each row's answer.
@@ -670,7 +712,7 @@ class Tree:
         bad = (labels < 0) | (labels >= classes)
         if bad.any():
             i = int(np.argmax(bad))
-            raise ValueError(f"sample {i}: label {labels[i]} out of range for {classes} classes")
+            raise ValueError(f"sample {i}: label {labels[i]} is not a class index below {classes}")
         return self._learn(X, labels.astype(np.intp), train)
 
     def _learn(self, X: np.ndarray, labels: np.ndarray, train: np.ndarray) -> np.ndarray:
@@ -752,7 +794,7 @@ class Tree:
         own, which makes the same comparisons without those calls.
         """
         if len(X) == 1:
-            return np.array([self._descend(X[0].tolist())], dtype=np.intp)
+            return np.array([self._leaf(X[0])], dtype=np.intp)
         records, idx = self._pool.array[: self.node_count], np.arange(self.node_count)
         attr = records["split_attr"].astype(np.intp)
         value = records["split_value"].astype(np.float32)
@@ -877,6 +919,7 @@ class Tree:
         # the record of an internal node holds no statistics
         pool.array[leaf_idx] = (_KIND_INTERNAL, False, attr, value, left, right, 0, 0, 0, 0)
         pool.since[leaf_idx] = 0
+        pool.answer[leaf_idx] = -1
         self._nodes[leaf_idx] = (_KIND_INTERNAL, attr, value, left, right)
         self._nodes += (_LEAF, _LEAF)
 

@@ -138,6 +138,32 @@ def test_usage_errors_exit_one():
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["run", "--synthetic", "--n-min", "0"], "argument --n-min: must be positive"),
+    (["run", "--synthetic", "--window", "0"], "argument --window: must be positive"),
+    (["run", "--synthetic", "--samples", "0"], "argument --samples: must be positive"),
+    (["run", "--synthetic", "--clusters", "1"], "argument --clusters: must be at least 2"),
+    (["run", "--synthetic", "--max-nodes", "-3"], "argument --max-nodes: must be positive"),
+    (["run", "--synthetic", "--delta", "1"], "argument --delta: must lie in (0, 1)"),
+    (["run", "--synthetic", "--tau", "-0.5"], "argument --tau: must be non-negative"),
+    (["run", "--synthetic", "--spread", "0"], "argument --spread: must be positive"),
+    (["gen", "--dims", "0", "--out", "never.csv"], "argument --dims: must be positive"),
+    (["mem", "--max-nodes", "0"], "argument --max-nodes: must be positive"),
+    (["mem", "--classes", "5,1"], "argument --classes: must be at least 2"),
+    (["mem", "--dims", ","], "argument --dims: must list at least one value"),
+])
+def test_out_of_range_flags_are_usage_errors_naming_the_flag(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 1
+    assert capsys.readouterr().err.strip().endswith(f"error: {message}")
+
+
+def test_n_pt_above_n_quantiles_is_a_usage_error(capsys):
+    assert run_cli("run", "--synthetic", "--samples", "10", "--n-quantiles", "8", "--n-pt", "9") == 1
+    assert capsys.readouterr().err.strip().endswith("error: argument --n-pt: must not exceed --n-quantiles")
+
+
 def test_mem_default_grid(capsys):
     assert run_cli("mem") == 0
     lines = capsys.readouterr().out.strip().splitlines()

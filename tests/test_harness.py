@@ -1,6 +1,7 @@
 """Tests for bundle processing, prequential evaluation, and memory tables."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -132,6 +133,31 @@ def test_train_flags_are_python_or_numpy_bools():
         with pytest.raises(ValueError, match=r"^sample 4: train flag .* is not a bool$"):
             process_bundle(tree, Bundle(bad, 8))
     assert serialize(tree) == serialize(replay)
+
+
+@pytest.mark.parametrize("label,flag,fault", [
+    (2.9, True, "label 2.9 is not a class index below 3"),
+    ("1", True, "label '1' is not a class index below 3"),
+    (-1, True, "label -1 is not a class index below 3"),
+    (3, True, "label 3 is not a class index below 3"),
+    (np.int64(3), True, "label 3 is not a class index below 3"),
+    (1, 1, "train flag 1 is not a bool"),
+    (1, np.int8(1), f"train flag {np.int8(1)!r} is not a bool"),
+    (1, 1.0, "train flag 1.0 is not a bool"),
+    (1, None, "train flag None is not a bool"),
+])
+def test_train_rejects_what_a_bundle_rejects(label, flag, fault):
+    # a bundle is the same single calls, so both paths refuse the sample
+    # with one message, the bundle's naming its index, and change nothing
+    tree = Tree(make_params())
+    process_bundle(tree, Bundle(fuzz_stream(np.random.default_rng(2), 50), 50))
+    before = serialize(tree)
+    bad = Sample(np.zeros(2, dtype=np.float32), label, flag)
+    with pytest.raises(ValueError, match=f"^{re.escape(fault)}$"):
+        tree.train(bad)
+    with pytest.raises(ValueError, match=f"^sample 0: {re.escape(fault)}$"):
+        process_bundle(tree, Bundle([bad], 1))
+    assert serialize(tree) == before
 
 
 def test_empty_bundle_is_a_no_op():

@@ -15,7 +15,7 @@ from hypothesis.extra.numpy import arrays
 
 from streamtree.datasets import CsvSchema, DatasetSpec, generate_clusters, load_csv
 from streamtree.harness import Bundle, process_bundle
-from streamtree.serialize import _records, serialize
+from streamtree.serialize import _records, deserialize, serialize
 from streamtree.sketch import QuantileSketch
 from streamtree.tree import (
     Hyperparams,
@@ -257,6 +257,60 @@ def test_infer_does_not_mutate():
         tree.infer([i * 0.07, 0.5])
         tree.sort_to_leaf([0.1, 0.2])
     assert serialize(tree) == before
+
+
+def assert_answers_current(tree, X):
+    """Per-row infer() equals predict(), which reads the counts, and the leaves' majority()."""
+    answers = [tree.infer(x) for x in X]
+    assert answers == tree.predict(X).tolist()
+    assert answers == [tree.arena[tree.sort_to_leaf(x)].stats.majority() for x in X]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_cached_answers_follow_every_writer(data):
+    # every step is followed by infer() on rows that fill the answer cache,
+    # so a writer that fails to invalidate shows as a stale answer later
+    params = Hyperparams(
+        dims=2, classes=3, tau=0.5,
+        n_min=data.draw(st.sampled_from([1, 5, 20]), label="n_min"),
+        max_nodes=data.draw(st.sampled_from([1, 3, 7, 31]), label="max_nodes"),
+    )
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    tree = Tree(params)
+    steps = st.sampled_from(["learn", "bundle", "train", "reload", "assign", "view"])
+    for step in data.draw(st.lists(steps, min_size=1, max_size=10), label="steps"):
+        # classes in overlapping bands along both attributes, so leaves mix
+        # classes and split until the arena fills
+        n = int(rng.integers(1, 120))
+        labels = rng.integers(0, 3, n)
+        X = (labels[:, None] + rng.uniform(-0.8, 0.8, (n, 2))).astype(np.float32)
+        train = rng.random(n) < 0.8
+        leaves = tree.leaf_indices()
+        leaf = leaves[int(rng.integers(len(leaves)))]
+        if step == "learn":
+            tree.learn(X, labels, train)
+        elif step == "bundle":
+            samples = [Sample(x, int(y), bool(t)) for x, y, t in zip(X, labels, train)]
+            process_bundle(tree, Bundle(samples, n))
+        elif step == "train":
+            for x, y in zip(X[:10], labels[:10]):
+                tree.train(Sample(x, int(y)))
+        elif step == "reload":
+            tree = deserialize(serialize(tree))
+        elif step == "assign":
+            stats = LeafStats(params)
+            stats.class_counts[:] = rng.integers(0, 50, 3)
+            stats.frozen = tree.arena[leaf].stats.frozen
+            tree.arena[leaf].stats = stats
+        else:
+            tree.arena[leaf].stats.class_counts[int(rng.integers(3))] += int(rng.integers(1, 30))
+        # the step's rows, the thresholds and +-0.0 on either attribute
+        cuts = [tree.arena[i].split_value for i in range(tree.node_count)
+                if tree.arena[i].stats is None]
+        grid = np.array(cuts + [0.0, -0.0], dtype=np.float32)
+        probes = np.concatenate([X, rng.choice(grid, size=(20, 2))])
+        assert_answers_current(tree, probes)
 
 
 # ---------------------------------------------------------------- training

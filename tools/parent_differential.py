@@ -24,7 +24,10 @@ script names those corpora and compares answers only on the others, so a
 changed generator does not read as a wall of answer mismatches.
 Each stream is fed through process_bundle in chunks of 1, 37, 1,000 and
 5,000 rows and as single train()/infer() calls; every feeding must give
-the other side's answers and serialize() sha256. On every final tree, and
+the other side's answers and serialize() sha256. In the 1,000-row
+feeding, per-row infer() also answers each chunk's rows on the tree the
+earlier chunks left, before the chunk goes in, so an answer that a later
+chunk should have changed shows as a mismatch. On every final tree, and
 on its deserialize(serialize()) copy, per-row infer() and sort_to_leaf()
 and the batched predict() must agree on probe rows: the stream's rows,
 random rows, and rows made of the thresholds and of +-0.0. A side without
@@ -46,6 +49,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CHUNKS = (1, 37, 1_000, 5_000)
+# the feeding whose chunks per-row infer() answers before they go in
+BETWEEN_CHUNK = 1_000
 
 
 def corpus(st, np):
@@ -157,10 +162,15 @@ def worker(src: str) -> None:
         streams[name] = stream_digest(stream, np)
         for chunk in CHUNKS:
             tree = st.Tree(params)
-            answers = []
+            answers, between = [], []
             for start in range(0, len(stream), chunk):
-                answers += st.process_bundle(tree, st.Bundle(stream[start : start + chunk], chunk))
+                part = stream[start : start + chunk]
+                if chunk == BETWEEN_CHUNK:
+                    between += [tree.infer(s.features) for s in part]
+                answers += st.process_bundle(tree, st.Bundle(part, chunk))
             out[f"{name}/chunk-{chunk}"] = [sha(answers), sha(st.serialize(tree))]
+            if chunk == BETWEEN_CHUNK:
+                out[f"{name}/chunk-{chunk}/infer-between"] = sha(between)
         tree = st.Tree(params)
         answers = [tree.train(s) if s.train else tree.infer(s.features) for s in stream]
         out[f"{name}/single"] = [sha(answers), sha(st.serialize(tree))]
