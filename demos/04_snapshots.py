@@ -2,9 +2,15 @@
 
 The serialized form is a single contiguous buffer sized for the whole node
 arena, so a model can be copied to device memory once and synced back after
-any number of kernel invocations. Restoring is exact: the snapshot predicts
-identically and keeps learning from where it stopped.
+any number of kernel invocations. serialize() returns it as a read-only
+memoryview over fresh zero pages, of which only the header's and the used
+records' are ever written; bytes(buf) makes a bytes copy. Restoring is
+exact: the snapshot predicts identically and keeps learning from where it
+stopped. The script exits with status 1 if the restored tree disagrees or
+its re-serialization differs.
 """
+
+import sys
 
 import numpy as np
 
@@ -37,8 +43,11 @@ print(f"snapshot: {len(buf)} bytes "
 restored = deserialize(buf)
 probes = np.random.default_rng(0).uniform(-2.5, 2.5, (2000, 3)).astype(np.float32)
 agree = all(tree.infer(x) == restored.infer(x) for x in probes)
+identical = serialize(restored) == buf
 print(f"restored tree agrees on 2000 probe points: {agree}")
-print(f"re-serialization is byte-identical: {serialize(restored) == buf}")
+print(f"re-serialization is byte-identical: {identical}")
+if not (agree and identical):
+    sys.exit("the restored tree disagrees or re-serializes differently")
 
 second_half = run_prequential(restored, stream[10_000:], window=2000)
 print(f"\nresumed training on the snapshot for the second half of the stream:")

@@ -17,11 +17,20 @@ the sketch counts, which equal the class counts (every sketch of a class
 row has absorbed that class's samples), and the samples since the last
 split attempt, saturated at 2^32 - 1; deserialize() checks the records
 and keeps one canonical copy of them as the live records.
+
+serialize() returns a read-only memoryview over fresh private anonymous
+pages (mmap with MAP_PRIVATE, so POSIX only). The kernel zero-fills a page
+on its first touch, and reading an untouched page maps the shared zero
+page, so the empty capacity costs neither time nor memory: a snapshot costs
+what its header and used records do. The view compares, hashes, slices and
+writes like bytes; bytes(serialize(tree)) makes a bytes copy. deserialize()
+takes any bytes-like buffer.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 import struct
 from functools import lru_cache
 from itertools import chain
@@ -94,26 +103,31 @@ def _records(buffer, params: Hyperparams, count: int) -> np.ndarray:
     return np.frombuffer(buffer, dtype, count, _HEADER.size)
 
 
-def serialize(tree: Tree) -> bytes:
-    """Snapshot the whole arena, including empty capacity, into one buffer.
+def serialize(tree: Tree) -> memoryview:
+    """Snapshot the whole arena, including empty capacity, into one read-only buffer.
 
-    The header and a copy of the used records, with their two derived fields
-    filled in, are padded with zeros to model_bytes by one ljust: the
-    full-size buffer is allocated and written once."""
+    The buffer is model_bytes fresh private pages, which the kernel fills
+    with zeros when they are first touched. The header is packed into them
+    and the used records copied in once, then their two derived fields are
+    filled in; the pages of empty capacity are never touched, so the cost
+    follows node_count, not max_nodes. Each call returns a new buffer."""
     p, n, pool = tree.params, tree.node_count, tree._pool
-    buf = bytearray(_HEADER.pack(
-        MAGIC, FORMAT_VERSION, p.max_nodes, p.dims, p.classes, p.n_quantiles,
+    pages = mmap.mmap(-1, model_bytes(p), flags=mmap.MAP_PRIVATE)
+    _HEADER.pack_into(
+        pages, 0, MAGIC, FORMAT_VERSION, p.max_nodes, p.dims, p.classes, p.n_quantiles,
         p.n_pt, p.n_min, n, tree.root, p.delta, p.lam, p.tau,
-    )) + pool.array[:n].tobytes()
-    rec = _records(buf, p, n)
+    )
+    used = pool.array[:n]
+    pages[_HEADER.size : _HEADER.size + used.nbytes] = used
+    rec = _records(pages, p, n)
     # every absorbed sample updates all dims sketches of its label's row
     rec["sketch_counts"] = rec["class_counts"][:, :, None]
     # only a frozen leaf counts this far, and it never attempts a split again
     rec["since_last_attempt"] = np.minimum(pool.since[:n], 2**32 - 1)
-    return bytes(buf).ljust(model_bytes(p), b"\0")
+    return memoryview(pages).toreadonly()
 
 
-def deserialize(buffer: bytes) -> Tree:
+def deserialize(buffer: bytes | bytearray | memoryview) -> Tree:
     """Rebuild a tree from a serialize() buffer, or raise a ValueError naming the fault.
 
     README.md ("Snapshot format") lists the checks. The tree keeps one copy

@@ -212,6 +212,18 @@ class _Records:
             answer = self.answer[slot] = counts.index(max(counts))
         return answer
 
+    def absorb_cell(self, slot: int, label: int, x: np.ndarray) -> None:
+        """Fold every row of x, (rows, dims), into class label of slot, in order."""
+        self.answer[slot] = -1
+        row = self.sketch[slot, label]
+        fresh = not self.counts[slot, label]
+        if fresh:
+            row[:] = x[0, :, None]
+        for value in x[int(fresh):, :, None]:
+            signum_update(row, value, self.up, self.down)
+        self.counts[slot, label] += len(x)
+        self.since[slot] += len(x)
+
     def absorb(self, slots: np.ndarray, labels: np.ndarray, x: np.ndarray) -> None:
         """Fold row i of x, (rows, dims), into class labels[i] of slot slots[i], in order.
 
@@ -229,16 +241,7 @@ class _Records:
         classes = self.counts.shape[1]
         keys = slots * classes + labels
         if len(keys) == 1 or (keys == keys[0]).all():
-            slot, label = int(slots[0]), int(labels[0])
-            self.answer[slot] = -1
-            row = self.sketch[slot, label]
-            fresh = not self.counts[slot, label]
-            if fresh:
-                row[:] = x[0, :, None]
-            for value in x[int(fresh):, :, None]:
-                signum_update(row, value, self.up, self.down)
-            self.counts[slot, label] += len(x)
-            self.since[slot] += len(x)
+            self.absorb_cell(int(slots[0]), int(labels[0]), x)
             return
         cells, sizes, rows, bounds = _prefix_waves(keys)
         x = x[rows, :, None]
@@ -320,7 +323,7 @@ class LeafStats:
 
     def absorb(self, label: int, features: np.ndarray) -> None:
         """Fold one training sample into the counts and the label's sketch row."""
-        self._pool.absorb(np.array([self._slot]), np.array([label]), np.asarray(features)[None])
+        self._pool.absorb_cell(self._slot, label, np.asarray(features)[None])
 
     def cdf(self, label: int, attr: int, value: float) -> float:
         """Estimated P(x_attr <= value | class=label). Requires a seen class."""
@@ -679,7 +682,9 @@ class Tree:
 
         After the grace period (n_min samples since the last attempt) the
         routed leaf re-evaluates its split decision, unless frozen. The
-        one-row case of learn().
+        one-row case of learn(), taken directly: the leaf the row check
+        routes to answers, absorbs the row and attempts where learn()
+        would (see _attempt_rows).
         """
         fault = _sample_fault(sample, self.params.classes)
         if fault:
@@ -687,8 +692,14 @@ class Tree:
         if not sample.train:
             raise ValueError("sample is not flagged for training")
         x = _as_f32(sample.features)
-        self._leaf(x)  # the row check
-        return int(self._learn(x[None], np.array([int(sample.label)]), np.array([True]))[0])
+        pool, idx = self._pool, self._leaf(x)
+        answer = pool.majority(idx)
+        pool.absorb_cell(idx, int(sample.label), x[None])
+        # the count stood at n_min - 1 or more: a snapshot may hold it past n_min
+        if pool.since[idx] >= self.params.n_min and not pool.frozen[idx]:
+            pool.since[idx] = 0
+            self.attempt_split(idx)
+        return answer
 
     def learn(self, X, labels, train_mask) -> np.ndarray:
         """Infer-then-train over rows in order; returns each row's answer.
@@ -790,8 +801,8 @@ class Tree:
         leaf leads to itself, until no row moves: a few numpy calls per
         level, whatever the row count. The split columns are copied out of
         the records once per call, since gathers from their unaligned
-        fields cost more. A lone row, the case of train(), descends on its
-        own, which makes the same comparisons without those calls.
+        fields cost more. A lone row, such as a one-sample bundle's, descends
+        on its own, which makes the same comparisons without those calls.
         """
         if len(X) == 1:
             return np.array([self._leaf(X[0])], dtype=np.intp)

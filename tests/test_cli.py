@@ -7,7 +7,7 @@ import pytest
 from streamtree.cli import main
 from streamtree.datasets import CsvSchema, load_csv
 from streamtree.harness import PrequentialReport
-from streamtree.serialize import deserialize
+from streamtree.serialize import deserialize, model_bytes, serialize
 
 
 def run_cli(*argv):
@@ -79,8 +79,12 @@ def test_run_snapshot_persistence(tmp_path):
             "--report", str(report1))
     nodes_after_first = json.loads(report1.read_text())["final_node_count"]
     with open(snap, "rb") as fh:
-        tree = deserialize(fh.read())
+        saved = fh.read()
+    tree = deserialize(saved)
     assert tree.node_count == nodes_after_first
+    # the file holds the whole snapshot buffer, empty capacity included
+    assert len(saved) == model_bytes(tree.params)
+    assert saved == serialize(tree)
 
     # resume: one further sample cannot trigger a split (n_min=200)
     report2 = tmp_path / "r2.json"

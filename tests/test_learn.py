@@ -378,6 +378,10 @@ def test_kernel_matches_reference_property(data):
     got, got_bytes, _ = kernel_run(params, stream, chunk)
     assert got == want
     assert got_bytes == want_bytes
+    # train() takes its one-row case without the kernel
+    tree = Tree(params)
+    assert [tree.train(s) if s.train else tree.infer(s.features) for s in stream] == want
+    assert serialize(tree) == want_bytes
 
 
 @settings(max_examples=100, deadline=None)
@@ -460,14 +464,17 @@ def test_counter_past_n_min_attempts_at_the_next_train_row():
     # per-sample loop attempts at that leaf's next train row
     params = Hyperparams(dims=3, classes=5, tau=0.1, n_min=50)
     stream = clusters_with_flags(1.0, samples=400)
-    ref, tree = ReferenceTree(params), Tree(params)
+    ref, tree, lone = ReferenceTree(params), Tree(params), Tree(params)
     for s in stream[:40]:
         ref.train(s)
         tree.train(s)
-    ref.arena[0].stats.since_last_attempt = tree.arena[0].stats.since_last_attempt = 70
+        lone.train(s)
+    for t in (ref, tree, lone):
+        t.arena[0].stats.since_last_attempt = 70
     want = [ref.train(s) for s in stream[40:]]
     assert process_bundle(tree, Bundle(stream[40:], 360)) == want
-    assert serialize(tree) == reference_snapshot(ref)
+    assert [lone.train(s) for s in stream[40:]] == want
+    assert serialize(tree) == reference_snapshot(ref) == serialize(lone)
 
 
 # ----------------------------------------------------------------- waves

@@ -58,8 +58,53 @@ def test_trained_tree_round_trip_predictions():
     params = tree.params
     record = node_record_bytes(params.dims, params.classes, params.n_quantiles)
     used = model_bytes(params) - (params.max_nodes - tree.node_count) * record
-    assert type(buf) is bytes and len(buf) == model_bytes(params)
+    assert type(buf) is memoryview and buf.readonly
+    assert buf.format == "B" and buf.c_contiguous
+    assert len(buf) == model_bytes(params)
     assert buf[used:] == bytes(len(buf) - used)
+
+
+def test_snapshot_is_an_independent_readonly_buffer():
+    tree = Tree(Hyperparams(dims=3, classes=5, n_min=100, tau=0.1, max_nodes=63))
+    stream = generate_clusters(DatasetSpec(5, 3, 4000, 0.05, 2.0, seed=0))
+    for s in stream[:60]:
+        tree.train(s)
+    assert tree.node_count == 1
+    probes = np.random.default_rng(9).uniform(-3, 3, size=(300, 3)).astype(np.float32)
+    answers = [tree.infer(x) for x in probes]
+    buf = serialize(tree)
+    copy = bytes(buf)
+    with pytest.raises(TypeError):
+        buf[0] = 0
+    with pytest.raises(TypeError):
+        buf[:4] = b"XXXX"
+    for s in stream[60:]:
+        tree.train(s)
+    assert tree.node_count > 1
+    # a later snapshot, and the training before it, leave the earlier one as it was
+    later = serialize(tree)
+    assert later is not serialize(tree)
+    assert not np.shares_memory(np.frombuffer(later, np.uint8), np.frombuffer(buf, np.uint8))
+    assert later != buf
+    assert buf == copy and copy == buf
+    assert buf == bytes(buf) and bytes(buf) == buf
+    assert hash(buf) == hash(copy)
+    assert [deserialize(buf).infer(x) for x in probes] == answers
+
+    # a Covertype-sized arena, of which a few records are used
+    params = Hyperparams(dims=54, classes=7, tau=0.2, n_min=100, max_nodes=2047)
+    wide = Tree(params)
+    rows = generate_clusters(DatasetSpec(7, 54, 3000, 0.5, seed=1))
+    X = np.array([s.features for s in rows])
+    labels = np.array([s.label for s in rows])
+    wide.learn(X, labels, np.ones(len(rows), dtype=bool))
+    assert wide.node_count > 1
+    buf = serialize(wide)
+    assert len(buf) == model_bytes(params)
+    back = deserialize(buf)
+    assert back.node_count == wide.node_count
+    assert back.predict(X).tolist() == wide.predict(X).tolist()
+    assert hashlib.sha256(serialize(back)).digest() == hashlib.sha256(buf).digest()
 
 
 def test_round_trip_preserves_statistics_and_training():

@@ -124,7 +124,8 @@ def corpus(st, np):
 
 
 def sha(data) -> str:
-    if not isinstance(data, bytes):
+    """sha256 of a bytes-like buffer's bytes, or of anything else as JSON."""
+    if not isinstance(data, (bytes, bytearray, memoryview)):
         data = json.dumps(data).encode()
     return hashlib.sha256(data).hexdigest()
 
