@@ -31,7 +31,6 @@ from .tree import (
     Node,
     Sample,
     Tree,
-    entropy_gain,
     hoeffding_bound,
     split_gain,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "Sample",
     "Tree",
     "deserialize",
-    "entropy_gain",
     "generate_clusters",
     "hoeffding_bound",
     "load_csv",

@@ -24,7 +24,7 @@ on its first touch, and reading an untouched page maps the shared zero
 page, so the empty capacity costs neither time nor memory: a snapshot costs
 what its header and used records do. The view compares, hashes, slices and
 writes like bytes; bytes(serialize(tree)) makes a bytes copy. deserialize()
-takes any bytes-like buffer.
+takes any C-contiguous bytes-like buffer, of any item size.
 """
 
 from __future__ import annotations
@@ -131,7 +131,13 @@ def deserialize(buffer: bytes | bytearray | memoryview) -> Tree:
     """Rebuild a tree from a serialize() buffer, or raise a ValueError naming the fault.
 
     README.md ("Snapshot format") lists the checks. The tree keeps one copy
-    of the records, made canonical: see _load_plan's keep."""
+    of the records, made canonical: see _load_plan's keep. The buffer is
+    read as bytes whatever its item size, so lengths and offsets count
+    bytes; it must be C-contiguous."""
+    view = memoryview(buffer)
+    if not view.c_contiguous:
+        raise ValueError("buffer is not C-contiguous")
+    buffer = view.cast("B")
     if len(buffer) < _HEADER.size:
         raise ValueError("buffer too short for header")
     header = bytes(buffer[: _HEADER.size])

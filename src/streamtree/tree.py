@@ -32,7 +32,6 @@ __all__ = [
     "Tree",
     "hoeffding_bound",
     "split_gain",
-    "entropy_gain",
 ]
 
 
@@ -163,17 +162,28 @@ class _Records:
     counts, the sketch grids and the frozen flags. The arrays hold a slot
     per node and grow by doubling.
 
+    The absorb methods are the only code that advances since. A
+    non-frozen leaf attempts a split whenever its count reaches n_min,
+    and the attempt resets it, so c train rows at a leaf whose count
+    stands at s leave (min(s, n_min - 1) + c) mod n_min, the rows after
+    its last attempt (a snapshot may hold a count past n_min, which
+    attempts at the next row). A count that reads 0 after absorbing
+    means "attempt now". A frozen leaf never attempts again, and its
+    count goes on to s + c.
+
     answer, which one-row infer() reads, is a list with each slot's
     majority class, or -1 where it is not known. Writers only invalidate:
     a slot whose counts may have changed goes back to -1, and majority()
     computes it again from the counts on the next read.
     """
 
-    __slots__ = ("array", "since", "counts", "sketch", "frozen", "answer", "targets", "up", "down")
+    __slots__ = ("array", "since", "counts", "sketch", "frozen", "answer", "targets", "up", "down",
+                 "n_min")
 
     def __init__(self, params: Hyperparams, array: np.ndarray, since: np.ndarray) -> None:
         self._bind(array, since)
         self.answer = [-1] * len(array)
+        self.n_min = params.n_min
         self.targets = quantile_targets(params.n_quantiles)
         self.up, self.down = _signum_steps(params.n_quantiles, params.lam)
 
@@ -222,7 +232,9 @@ class _Records:
         for value in x[int(fresh):, :, None]:
             signum_update(row, value, self.up, self.down)
         self.counts[slot, label] += len(x)
-        self.since[slot] += len(x)
+        since = int(self.since[slot])
+        self.since[slot] = (since + len(x) if self.frozen[slot]
+                            else (min(since, self.n_min - 1) + len(x)) % self.n_min)
 
     def absorb(self, slots: np.ndarray, labels: np.ndarray, x: np.ndarray) -> None:
         """Fold row i of x, (rows, dims), into class labels[i] of slot slots[i], in order.
@@ -236,7 +248,8 @@ class _Records:
         block[:m_t] with a contiguous slice of the rows, before one scatter
         back. Rows that all hit one cell update its sketch row in place. A
         cell's first sample ever seeds every knot at its value, so its own
-        step moves nothing. Every touched slot's answer becomes unknown.
+        step moves nothing. Every touched slot's answer becomes unknown, and
+        its since advances by its row count, as absorb_cell's does.
         """
         classes = self.counts.shape[1]
         keys = slots * classes + labels
@@ -260,14 +273,21 @@ class _Records:
             signum_update(block[: end - begin], x[begin:end], self.up, self.down)
         self.sketch[cell] = block
         self.counts[cell] = seen + sizes
-        np.add.at(self.since, slots, 1)
+        rows = np.bincount(slots)
+        touched = rows.nonzero()[0]
+        rows, since = rows[touched], self.since[touched]
+        self.since[touched] = np.where(self.frozen[touched], since + rows,
+                                       (np.minimum(since, self.n_min - 1) + rows) % self.n_min)
 
 
 class LeafStats:
     """Per-leaf class counts plus one quantile sketch per (class, attribute).
 
     A view of one record: a tree's leaves view the tree's records, and
-    LeafStats(params) makes a leaf of its own. The sketch grid has shape
+    LeafStats(params) makes a leaf of its own. since_last_attempt counts
+    the samples absorbed since the last split attempt the way a tree's
+    leaf does (see _Records): on a non-frozen leaf it wraps to 0 every
+    n_min samples, standalone or not. The sketch grid has shape
     (classes, dims, n_quantiles); each cell behaves as a standalone
     QuantileSketch fed the same scalars. class_counts and sketch_estimates
     are views into the records, which a split may replace to make room for
@@ -453,28 +473,6 @@ def _partition_gain(parent, n, left, n_left, right, n_right) -> np.ndarray:
         - (n_right / n) * _entropy_bits(right, n_right)
     )
     return np.where(gain > 0.0, gain, 0.0)
-
-
-def entropy_gain(class_counts: np.ndarray, left_mass: np.ndarray) -> float:
-    """Information gain of a two-way partition given per-class left masses.
-
-    class_counts is the parent's per-class total; left_mass assigns each
-    class's share to the left side (the remainder goes right). Returns 0
-    when either side carries no mass. Arithmetic is f64; the result is
-    clamped at 0 so rounding noise cannot produce a negative gain.
-    """
-    counts = np.asarray(class_counts, dtype=np.float64)
-    left = np.asarray(left_mass, dtype=np.float64)
-    right = counts - left
-    n_left = left.sum()
-    n_right = right.sum()
-    if n_left <= 0.0 or n_right <= 0.0:
-        return 0.0
-    return float(_partition_gain(
-        counts[counts > 0.0], counts.sum(),
-        left[left > 0.0], n_left,
-        right[right > 0.0], n_right,
-    ))
 
 
 def _seen_knots(stats: LeafStats) -> tuple[np.ndarray, np.ndarray]:
@@ -683,8 +681,9 @@ class Tree:
         After the grace period (n_min samples since the last attempt) the
         routed leaf re-evaluates its split decision, unless frozen. The
         one-row case of learn(), taken directly: the leaf the row check
-        routes to answers, absorbs the row and attempts where learn()
-        would (see _attempt_rows).
+        routes to answers, absorbs the row and attempts when absorbing
+        wraps its count to 0 (see _Records), which is where learn()
+        attempts.
         """
         fault = _sample_fault(sample, self.params.classes)
         if fault:
@@ -695,9 +694,8 @@ class Tree:
         pool, idx = self._pool, self._leaf(x)
         answer = pool.majority(idx)
         pool.absorb_cell(idx, int(sample.label), x[None])
-        # the count stood at n_min - 1 or more: a snapshot may hold it past n_min
-        if pool.since[idx] >= self.params.n_min and not pool.frozen[idx]:
-            pool.since[idx] = 0
+        # a frozen leaf's count only grows, so it never reads 0 here
+        if not pool.since[idx]:
             self.attempt_split(idx)
         return answer
 
@@ -743,17 +741,15 @@ class Tree:
         would reach alone, and rows at different leaves, or of different
         classes, touch disjoint statistics, so the segment's train rows are
         absorbed in waves: wave t takes the t-th row of every (leaf, class)
-        pair. An attempt that cannot act only resets its leaf's count of
-        samples since the last attempt, which then holds the leaf's train
-        rows after it. A split re-routes only the later rows at the split
-        leaf, one level down, into the two fresh children.
+        pair. Absorbing moves each leaf's count of samples since the last
+        attempt past the attempts that cannot act, and leaves it at 0 at
+        the segment's last row, whose attempt can. A split re-routes only
+        the later rows at the split leaf, one level down, into the two
+        fresh children.
         """
-        pool, n_min = self._pool, self.params.n_min
+        pool = self._pool
         leaf = self._route(X)
-        attempt, act = self._attempt_rows(leaf, labels, train)
-        # one array when every attempt can act, and then no split can come
-        # before the block ends that would make them differ
-        skips = act is not attempt
+        act = self._attempt_rows(leaf, labels, train)
         out = np.empty(len(X), dtype=np.intp)
         start = 0
         while start < len(X):
@@ -764,34 +760,23 @@ class Tree:
             seg = slice(start, end + 1)
             out[seg] = self._answers(leaf[seg], labels[seg], train[seg])
             rows = start + train[seg].nonzero()[0]
-            if skips:
-                # the leaves of the segment's attempts that cannot act: each
-                # attempt resets the count, so after the segment it holds the
-                # leaf's train rows after its last attempt, which is
-                # (min(since, n_min - 1) + train rows) mod n_min (_attempt_rows)
-                skipped = leaf[start + (attempt[seg] & ~act[seg]).nonzero()[0]]
-                since = np.bincount(leaf[rows], minlength=self.node_count)[skipped]
-                since = (np.minimum(pool.since[skipped], n_min - 1) + since) % n_min
             if rows.size:
                 pool.absorb(leaf[rows], labels[rows], X[rows])
-            if skips:
-                pool.since[skipped] = since
             start = end + 1
             if acts:
                 idx = int(leaf[end])
-                pool.since[idx] = 0
                 self.attempt_split(idx)
                 later = start + (leaf[start:] == idx).nonzero()[0]
                 kind, attr, value, left, right = self._nodes[idx]
                 if kind:
                     go_left = X[later, attr] <= value
                     leaf[later] = np.where(go_left, left, right)
-                    attempt[later], act[later] = self._attempt_rows(
-                        leaf[later], labels[later], train[later])
                     if self.node_count + 2 > self.params.max_nodes:
-                        act[start:] = attempt[start:]
+                        # from now on every attempt freezes its leaf
+                        later = slice(start, None)
+                    act[later] = self._attempt_rows(leaf[later], labels[later], train[later])
                 elif pool.frozen[idx]:
-                    attempt[later] = act[later] = False
+                    act[later] = False
         return out
 
     def _route(self, X: np.ndarray) -> np.ndarray:
@@ -819,20 +804,18 @@ class Tree:
                 return leaf
             leaf = step
 
-    def _attempt_rows(self, leaf: np.ndarray, labels: np.ndarray, train: np.ndarray):
-        """Masks of the rows after which their leaf attempts a split, and of those that can act.
+    def _attempt_rows(self, leaf: np.ndarray, labels: np.ndarray, train: np.ndarray) -> np.ndarray:
+        """Mask of the rows after which their leaf makes a split attempt that can act.
 
-        A non-frozen leaf attempts when its count of samples since the last
-        attempt reaches n_min, and the attempt resets the count. So the
-        c-th train row at a leaf whose count stands at s attempts when
-        min(s, n_min - 1) + c is a multiple of n_min (a snapshot may hold a
-        count past n_min, which attempts at the next row). An attempt can
-        act, splitting or freezing the leaf, only when the arena has no
-        room for two more nodes or the leaf has seen two classes by then:
-        in its counts or in its train rows up to the attempt's. Both masks
-        hold while the leaf stays a non-frozen leaf and the arena keeps
-        room; the caller updates them when an attempt splits or freezes
-        the leaf. When every attempt can act, both masks are one array.
+        A non-frozen leaf attempts at the train row whose absorption wraps
+        its count of samples since the last attempt to 0 (see _Records):
+        the c-th train row at a leaf whose count stands at s attempts when
+        min(s, n_min - 1) + c is a multiple of n_min. An attempt can act,
+        splitting or freezing the leaf, only when the arena has no room for
+        two more nodes or the leaf has seen two classes by then: in its
+        counts or in its train rows up to the attempt's. The mask holds
+        while the leaf stays a non-frozen leaf and the arena keeps room;
+        the caller updates it when an attempt splits or freezes the leaf.
         """
         pool, n_min = self._pool, self.params.n_min
         rows = (train & ~pool.frozen[leaf]).nonzero()[0]
@@ -843,10 +826,10 @@ class Tree:
         begins = np.maximum.accumulate(np.where(head, index, 0))
         since = np.minimum(pool.since[grouped], n_min - 1) + index - begins + 1
         hit = since % n_min == 0
-        attempt = np.zeros(len(leaf), dtype=bool)
-        attempt[rows] = hit
+        act = np.zeros(len(leaf), dtype=bool)
         if self.node_count + 2 > self.params.max_nodes or not np.count_nonzero(hit):
-            return attempt, attempt
+            act[rows] = hit
+            return act
         # a leaf's second class comes with its first train row whose label is
         # not its one seen class, or, unseen, not its first row's label
         counts = pool.counts[grouped[head]]
@@ -855,9 +838,8 @@ class Tree:
         one = np.where(seen > 0, counts.argmax(axis=1), label[head])
         group = head.cumsum() - 1
         other = (label != one[group]) | (seen > 1)[group]
-        act = np.zeros(len(leaf), dtype=bool)
         act[rows] = hit & (np.maximum.accumulate(np.where(other, index, -1)) >= begins)
-        return attempt, act
+        return act
 
     def _answers(self, leaf: np.ndarray, labels: np.ndarray, train: np.ndarray) -> np.ndarray:
         """Each row's prediction, given the segment's earlier train rows.
@@ -895,8 +877,9 @@ class Tree:
         A leaf that cannot fit two children in the arena is frozen for good
         and keeps accumulating statistics for prediction only. learn() does
         not call it on a leaf that has seen fewer than two classes while
-        the arena has room, since such an attempt changes nothing; it
-        resets the leaf's count of samples since the last attempt itself.
+        the arena has room, since such an attempt changes nothing. The
+        leaf's count of samples since the last attempt is left as it is:
+        absorbing the row that attempts has already wrapped it to 0.
         """
         if self._nodes[leaf_idx][0]:
             raise ValueError(f"node {leaf_idx} is not a leaf")

@@ -459,22 +459,46 @@ def test_arena_filled_mid_chunk_freezes_every_leaf(max_nodes):
         assert sum(np.count_nonzero(stats.class_counts) == 1 for stats in leaves) == 3
 
 
-def test_counter_past_n_min_attempts_at_the_next_train_row():
-    # only a snapshot can put such a count on a non-frozen leaf; the
-    # per-sample loop attempts at that leaf's next train row
-    params = Hyperparams(dims=3, classes=5, tau=0.1, n_min=50)
-    stream = clusters_with_flags(1.0, samples=400)
-    ref, tree, lone = ReferenceTree(params), Tree(params), Tree(params)
-    for s in stream[:40]:
-        ref.train(s)
-        tree.train(s)
-        lone.train(s)
-    for t in (ref, tree, lone):
-        t.arena[0].stats.since_last_attempt = 70
-    want = [ref.train(s) for s in stream[40:]]
-    assert process_bundle(tree, Bundle(stream[40:], 360)) == want
-    assert [lone.train(s) for s in stream[40:]] == want
-    assert serialize(tree) == reference_snapshot(ref) == serialize(lone)
+# a leaf's stored count of samples since its last attempt, from its n_min
+STORED_COUNTS = {
+    "n_min-1": lambda n_min: n_min - 1,
+    "n_min": lambda n_min: n_min,
+    "3n_min+1": lambda n_min: 3 * n_min + 1,
+    "2^32+5": lambda n_min: 2**32 + 5,
+}
+
+
+@pytest.mark.parametrize("stored", STORED_COUNTS)
+@pytest.mark.parametrize("n_min", [1, 7, 50])
+def test_counter_past_n_min_attempts_at_the_next_train_row(n_min, stored):
+    # only a snapshot can put a count of n_min or more on a non-frozen
+    # leaf; the per-sample loop attempts at that leaf's next train row,
+    # and lone calls, small bundles and one bundle must wrap it alike. At
+    # tau 1 the tree has split by row 400, so the counts sit on several
+    # leaves, most of one class, whose attempts cannot act
+    params = Hyperparams(dims=3, classes=5, tau=1.0, n_min=n_min)
+    stream = generate_clusters(DatasetSpec(clusters=5, dims=3, samples=800,
+                                           cluster_spread=0.04, center_box=2.0, seed=2))
+    ref, lone, bundled, whole = ReferenceTree(params), Tree(params), Tree(params), Tree(params)
+    for s in stream[:400]:
+        for t in (ref, lone, bundled, whole):
+            t.train(s)
+    assert ref.node_count > 5
+    count = STORED_COUNTS[stored](n_min)
+    for t in (ref, lone, bundled, whole):
+        for node in t.arena:
+            if node.stats is not None and not node.stats.frozen:
+                node.stats.since_last_attempt = count
+    rest = stream[400:]
+    want = [ref.train(s) for s in rest]
+    assert [lone.train(s) for s in rest] == want
+    got = []
+    for start in range(0, len(rest), 37):
+        got += process_bundle(bundled, Bundle(rest[start : start + 37], 37))
+    assert got == want
+    assert process_bundle(whole, Bundle(rest, len(rest))) == want
+    snapshot = reference_snapshot(ref)
+    assert serialize(lone) == serialize(bundled) == serialize(whole) == snapshot
 
 
 # ----------------------------------------------------------------- waves

@@ -1,5 +1,6 @@
 """Round-trip and layout tests for the flat snapshot format."""
 
+import array
 import hashlib
 
 import numpy as np
@@ -287,16 +288,43 @@ def test_deserialize_rejects_class_count_past_int64():
 
 
 def test_since_last_attempt_saturates_on_the_wire():
+    x = np.array([1.0, -1.0], dtype=np.float32)
+    lone, bundled = hand_built_tree(), hand_built_tree()
+    for tree in (lone, bundled):
+        # leaf 3 is frozen, so it never wraps the counter
+        tree.arena[3].stats.since_last_attempt = 2**32 - 1
+    lone.train(Sample(x, 1))
+    # three classes at one leaf: the many-cell absorb, not the one-cell one
+    bundled.learn(np.tile(x, (3, 1)), np.arange(3), np.ones(3, dtype=bool))
+    for tree, since in ((lone, 2**32), (bundled, 2**32 + 2)):
+        assert tree.arena[3].stats.since_last_attempt == since
+        buf = serialize(tree)
+        assert _records(buf, tree.params, tree.node_count)["since_last_attempt"][3] == 2**32 - 1
+        back = deserialize(buf)
+        assert back.arena[3].stats.since_last_attempt == 2**32 - 1
+        assert serialize(back) == buf
+
+
+WIDE_ITEMS = {
+    "memoryview": lambda buf: memoryview(buf).cast("H"),
+    "ndarray": lambda buf: np.frombuffer(buf, np.uint16),
+    "array": lambda buf: array.array("H", bytes(buf)),
+}
+
+
+@pytest.mark.parametrize("form", [*WIDE_ITEMS, "strided"])
+def test_deserialize_counts_bytes_of_wide_item_buffers(form):
+    # len() and slices of such buffers count 2-byte items, not bytes
     tree = hand_built_tree()
-    stats = tree.arena[3].stats  # frozen, so it never resets the counter
-    stats.since_last_attempt = 2**32 - 1
-    tree.train(Sample(np.array([1.0, -1.0], dtype=np.float32), 1))
-    assert stats.since_last_attempt == 2**32
     buf = serialize(tree)
-    assert _records(buf, tree.params, tree.node_count)["since_last_attempt"][3] == 2**32 - 1
-    back = deserialize(buf)
-    assert back.arena[3].stats.since_last_attempt == 2**32 - 1
+    if form == "strided":
+        with pytest.raises(ValueError, match="buffer is not C-contiguous"):
+            deserialize(np.frombuffer(buf, np.uint16)[::2])
+        return
+    back = deserialize(WIDE_ITEMS[form](buf))
     assert serialize(back) == buf
+    x = np.array([1.0, -1.0], dtype=np.float32)
+    assert back.sort_to_leaf(x) == tree.sort_to_leaf(x) == 3
 
 
 @pytest.mark.parametrize("value,knot", [(np.nan, 1), (np.inf, -1), (-np.inf, 0)])

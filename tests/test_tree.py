@@ -23,7 +23,7 @@ from streamtree.tree import (
     Sample,
     Tree,
     _best_splits,
-    entropy_gain,
+    _partition_gain,
     hoeffding_bound,
     split_candidates,
     split_gain,
@@ -436,21 +436,16 @@ def test_frozen_leaf_keeps_absorbing():
 
 
 def test_entropy_gain_perfect_partition_is_one_bit():
-    counts = np.array([100, 100])
-    left = np.array([100.0, 0.0])
-    assert entropy_gain(counts, left) == pytest.approx(1.0)
+    # the kernel's gain of a parent of 100 + 100 split into 100 + 0 and 0 + 100
+    one = np.array([100.0])
+    gain = _partition_gain(np.array([100.0, 100.0]), 200.0, one, 100.0, one, 100.0)
+    assert float(gain) == pytest.approx(1.0)
 
 
 def test_entropy_gain_replicated_distribution_is_zero():
-    counts = np.array([50, 50])
-    left = np.array([25.0, 25.0])
-    assert entropy_gain(counts, left) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_entropy_gain_empty_side_is_zero():
-    counts = np.array([10, 20])
-    assert entropy_gain(counts, np.zeros(2)) == 0.0
-    assert entropy_gain(counts, counts.astype(float)) == 0.0
+    half = np.array([25.0, 25.0])
+    gain = _partition_gain(np.array([50.0, 50.0]), 100.0, half, 50.0, half, 50.0)
+    assert float(gain) == pytest.approx(0.0, abs=1e-12)
 
 
 def separated_stats(params, low_label=0, high_label=1, low=0.0, high=10.0, n=100):

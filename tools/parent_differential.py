@@ -3,7 +3,7 @@
     python tools/parent_differential.py REF
 
 Extracts the files of commit REF (for example HEAD~1) with `git archive`
-into a temporary directory, then trains the same 138 trees with the
+into a temporary directory, then trains the same 144 trees with the
 streamtree package under src/ of this checkout and with REF's, one
 process per side, and compares them:
 
@@ -16,24 +16,33 @@ process per side, and compares them:
 - acceptance seeds 0 and 1 at n_min 1 and 7, where segments are short;
 - a stream of four classes in four regions, whose leaves hold one class,
   at max_nodes 3 and 7, so that most attempts cannot act and the arena
-  fills in the middle of a chunk.
+  fills in the middle of a chunk;
+- resumed trees: acceptance seed 2 (12,000 rows) at n_min 7 and 50,
+  whose first 2,000 rows go in as single train() calls, after which
+  every non-frozen leaf's samples-since-attempt counter is set to
+  n_min - 1, n_min or 3 n_min + 1. Only a snapshot can hold a counter
+  at or past n_min on a leaf that may still split, and a tree trained
+  from empty never does.
 
-Each side first hashes every corpus stream (feature bytes, labels and
-train flags). A stream that differs means the generators differ: the
-script names those corpora and compares answers only on the others, so a
-changed generator does not read as a wall of answer mismatches.
-Each stream is fed through process_bundle in chunks of 1, 37, 1,000 and
-5,000 rows and as single train()/infer() calls; every feeding must give
-the other side's answers and serialize() sha256. In the 1,000-row
-feeding, per-row infer() also answers each chunk's rows on the tree the
-earlier chunks left, before the chunk goes in, so an answer that a later
-chunk should have changed shows as a mismatch. On every final tree, and
+Every other tree starts empty; a resumed tree's every feeding starts
+from a deserialize() of its start snapshot. Each side first hashes every
+corpus stream (feature bytes, labels and train flags) and every start
+snapshot. A stream that differs means the generators or the start trees
+differ: the script names those corpora and compares answers only on the
+others, so a changed generator does not read as a wall of answer
+mismatches. Each stream is fed through process_bundle in chunks of 1,
+37, 1,000 and 5,000 rows and as single train()/infer() calls; every
+feeding must give the other side's answers and serialize() sha256. In
+the 1,000-row feeding, per-row infer() also answers each chunk's rows on
+the tree the earlier chunks left, before the chunk goes in, so an answer
+that a later chunk should have changed shows as a mismatch. On every final tree, and
 on its deserialize(serialize()) copy, per-row infer() and sort_to_leaf()
 and the batched predict() must agree on probe rows: the stream's rows,
 random rows, and rows made of the thresholds and of +-0.0. A side without
 Tree.predict answers those with per-row infer(). The script prints the
 tree, node and frozen-leaf counts and every mismatch, and exits 1 on any.
-The corpora are those of tests/test_learn.py and tests/test_acceptance.py.
+The corpora are those of tests/test_learn.py and tests/test_acceptance.py,
+but for the resumed trees.
 It takes some minutes per side.
 """
 
@@ -51,14 +60,20 @@ ROOT = Path(__file__).resolve().parent.parent
 CHUNKS = (1, 37, 1_000, 5_000)
 # the feeding whose chunks per-row infer() answers before they go in
 BETWEEN_CHUNK = 1_000
+# the rows a resumed tree is trained on before its counters are set
+RESUME_AT = 2_000
 
 
 def corpus(st, np):
-    """(name, params, stream) of the 138 trees."""
+    """(name, params, stream, origin) of the 144 trees.
+
+    origin is None for a tree that starts empty, else the snapshot bytes
+    of the tree that every feeding of the stream starts from.
+    """
     H, S, D = st.Hyperparams, st.Sample, st.DatasetSpec
     for seed in range(20):
         spec = D(clusters=5, dims=3, samples=40_000, cluster_spread=0.04, center_box=2.0, seed=seed)
-        yield f"acceptance-{seed}", H(dims=3, classes=5, tau=0.1), st.generate_clusters(spec)
+        yield f"acceptance-{seed}", H(dims=3, classes=5, tau=0.1), st.generate_clusters(spec), None
 
     rng = np.random.default_rng(300)
     for i in range(100):
@@ -78,7 +93,7 @@ def corpus(st, np):
               bool(rng.random() < share))
             for _ in range(n)
         ]
-        yield f"criterion3-{i}", params, stream
+        yield f"criterion3-{i}", params, stream, None
 
     rng = np.random.default_rng(800)
     drifting = []
@@ -92,27 +107,27 @@ def corpus(st, np):
             label = int(rng.integers(0, 3))
         drifting.append(S(x.astype(np.float32), label))
     for nodes in (1, 3, 7, 100):
-        yield f"criterion8-{nodes}", H(dims=3, classes=3, n_min=50, tau=0.1, max_nodes=nodes), drifting
+        yield f"criterion8-{nodes}", H(dims=3, classes=3, n_min=50, tau=0.1, max_nodes=nodes), drifting, None
 
     wide = st.generate_clusters(D(clusters=7, dims=54, samples=6_000, cluster_spread=0.5, seed=1))
     for nodes in (2047, 15):
-        yield f"d54k7-{nodes}", H(dims=54, classes=7, tau=0.2, n_min=100, max_nodes=nodes), wide
+        yield f"d54k7-{nodes}", H(dims=54, classes=7, tau=0.2, n_min=100, max_nodes=nodes), wide, None
 
     clusters = st.generate_clusters(D(clusters=5, dims=3, samples=8_000, cluster_spread=0.3, seed=7))
     for nodes in (3, 7):
-        yield f"frozen-{nodes}", H(dims=3, classes=5, tau=0.1, n_min=100, max_nodes=nodes), clusters
+        yield f"frozen-{nodes}", H(dims=3, classes=5, tau=0.1, n_min=100, max_nodes=nodes), clusters, None
     for share in (0.1, 0.9):
         rng = np.random.default_rng(7)
         masked = [S(s.features, s.label, bool(rng.random() < share)) for s in clusters]
         for nodes in (2047, 7):
             params = H(dims=3, classes=5, tau=0.1, n_min=50, max_nodes=nodes)
-            yield f"masked-{share}-{nodes}", params, masked
+            yield f"masked-{share}-{nodes}", params, masked, None
 
     for seed in (0, 1):
         spec = D(clusters=5, dims=3, samples=40_000, cluster_spread=0.04, center_box=2.0, seed=seed)
         stream = st.generate_clusters(spec)
         for n_min in (1, 7):
-            yield f"acceptance-{seed}-n_min-{n_min}", H(dims=3, classes=5, tau=0.1, n_min=n_min), stream
+            yield f"acceptance-{seed}-n_min-{n_min}", H(dims=3, classes=5, tau=0.1, n_min=n_min), stream, None
 
     rng = np.random.default_rng(11)
     labels = rng.integers(0, 4, 3_000)
@@ -120,7 +135,30 @@ def corpus(st, np):
     regions = [S(x, int(y)) for x, y in zip(X, labels)]
     for nodes in (3, 7):
         params = H(dims=2, classes=4, n_min=20, tau=1.0, max_nodes=nodes)
-        yield f"one-class-leaves-{nodes}", params, regions
+        yield f"one-class-leaves-{nodes}", params, regions, None
+
+    spec = D(clusters=5, dims=3, samples=12_000, cluster_spread=0.04, center_box=2.0, seed=2)
+    stream = st.generate_clusters(spec)
+    for n_min in (7, 50):
+        params = H(dims=3, classes=5, tau=0.1, n_min=n_min)
+        for count in (n_min - 1, n_min, 3 * n_min + 1):
+            origin = resumed(st, params, stream[:RESUME_AT], count)
+            yield f"resumed-{n_min}-{count}", params, stream[RESUME_AT:], origin
+
+
+def resumed(st, params, warmup, count) -> bytes:
+    """Snapshot of a tree fed warmup as single train() calls.
+
+    Then each non-frozen leaf's samples-since-attempt counter is set to count.
+    """
+    tree = st.Tree(params)
+    for s in warmup:
+        tree.train(s)
+    for i in tree.leaf_indices():
+        stats = tree.arena[i].stats
+        if not stats.frozen:
+            stats.since_last_attempt = count
+    return bytes(st.serialize(tree))
 
 
 def sha(data) -> str:
@@ -159,10 +197,16 @@ def worker(src: str) -> None:
     import streamtree as st
 
     streams, out, nodes, frozen = {}, {}, 0, 0
-    for name, params, stream in corpus(st, np):
+    for name, params, stream, origin in corpus(st, np):
         streams[name] = stream_digest(stream, np)
+        if origin is not None:
+            streams[name] = sha((streams[name] + sha(origin)).encode())
+
+        def fresh():
+            return st.Tree(params) if origin is None else st.deserialize(origin)
+
         for chunk in CHUNKS:
-            tree = st.Tree(params)
+            tree = fresh()
             answers, between = [], []
             for start in range(0, len(stream), chunk):
                 part = stream[start : start + chunk]
@@ -172,7 +216,7 @@ def worker(src: str) -> None:
             out[f"{name}/chunk-{chunk}"] = [sha(answers), sha(st.serialize(tree))]
             if chunk == BETWEEN_CHUNK:
                 out[f"{name}/chunk-{chunk}/infer-between"] = sha(between)
-        tree = st.Tree(params)
+        tree = fresh()
         answers = [tree.train(s) if s.train else tree.infer(s.features) for s in stream]
         out[f"{name}/single"] = [sha(answers), sha(st.serialize(tree))]
 
@@ -221,7 +265,8 @@ def main() -> int:
     changed = {name for name, digest in theirs["streams"].items()
                if mine["streams"].get(name) != digest}
     for name in sorted(changed):
-        print(f"STREAM MISMATCH {name}: the generators differ, its answers are not compared")
+        print(f"STREAM MISMATCH {name}: the generators or start trees differ, "
+              "its answers are not compared")
     compared = [key for key in theirs["digests"] if key.split("/")[0] not in changed]
     mismatches = [key for key in compared if mine["digests"].get(key) != theirs["digests"][key]]
     print(f"{len(theirs['streams'])} trees, {mine['summary']['nodes']} nodes, "
