@@ -15,7 +15,7 @@ import argparse
 import json
 import sys
 
-from .datasets import CsvSchema, DatasetSpec, generate_clusters, load_csv, write_samples_csv
+from .datasets import CsvSchema, DatasetSpec, generate_clusters, load_csv, write_clusters_csv
 from .harness import DEFAULT_NODE_SWEEP, PrequentialReport, mem_report, run_prequential
 from .serialize import deserialize, serialize
 from .tree import Hyperparams, Tree
@@ -137,7 +137,7 @@ def _column(value: str, no_header: bool):
 def _cmd_gen(args) -> int:
     spec = DatasetSpec(args.clusters, args.dims, args.samples,
                        args.spread, args.center_box, args.seed)
-    write_samples_csv(generate_clusters(spec), args.out)
+    write_clusters_csv(spec, args.out)
     print(f"wrote {args.samples} samples ({args.dims} features, "
           f"{args.clusters} classes) to {args.out}")
     return 0

@@ -3,19 +3,22 @@
 The synthetic generator draws cluster centers uniformly inside a box and
 emits labeled points round-robin over the clusters, which keeps class
 counts balanced to within one sample. Separability is controlled by the
-single spread knob. The CSV loader is total: every row either becomes a
-sample or raises an error that names its line.
+single spread knob. It draws the stream in blocks of rows, so writing one
+to CSV holds a block at a time, whatever its length. The CSV loader is
+total: every row either becomes a sample or raises an error that names
+its line.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import chain, starmap
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .tree import Sample
+from .tree import Sample, _name_odd_row
 
 __all__ = [
     "DatasetSpec",
@@ -23,6 +26,7 @@ __all__ = [
     "CsvSchema",
     "load_csv",
     "write_samples_csv",
+    "write_clusters_csv",
     "BANK_SCHEMA",
     "COVERTYPE_SCHEMA",
 ]
@@ -50,20 +54,53 @@ class DatasetSpec:
             raise ValueError("cluster_spread must be positive")
 
 
+# rows per generated block: about 1 MB of f64 noise, whatever the width
+_BLOCK_VALUES = 1 << 17
+
+
+def _block_rows(dims: int) -> int:
+    return max(1, _BLOCK_VALUES // dims)
+
+
+def _cluster_blocks(spec: DatasetSpec) -> Iterator[tuple[np.ndarray, list[int]]]:
+    """spec's stream as (f32 features, labels) blocks of _block_rows(dims) rows.
+
+    One generator draws the centers, then each block's noise in turn.
+    Generator.normal draws the same values in blocks as in one call, so
+    the stream does not depend on the block size. Nothing of a block stays
+    referenced here while the next one is drawn.
+    """
+    rng = np.random.default_rng(spec.seed)
+    centers = rng.uniform(-spec.center_box, spec.center_box, (spec.clusters, spec.dims))
+    step = _block_rows(spec.dims)
+    for start in range(0, spec.samples, step):
+        labels = np.arange(start, min(start + step, spec.samples)) % spec.clusters
+        yield _noisy_centers(rng, centers, labels, spec.cluster_spread), labels.tolist()
+
+
+def _noisy_centers(rng: np.random.Generator, centers: np.ndarray, labels: np.ndarray,
+                   spread: float) -> np.ndarray:
+    """f32(centers[labels] + noise), with the (rows, dims) noise drawn from rng."""
+    noise = rng.normal(0.0, spread, (len(labels), centers.shape[1]))
+    noise += centers[labels]
+    return noise.astype(np.float32)
+
+
 def generate_clusters(spec: DatasetSpec) -> list[Sample]:
     """Deterministic labeled stream of isotropic Gaussian clusters.
 
     Centers are drawn uniformly in [-center_box, center_box]^dims from the
     seed; sample i belongs to cluster i mod clusters. All samples carry the
-    train flag.
+    train flag. The rows are drawn block by block into one f32 matrix, so
+    no (samples, dims) array is ever f64.
     """
-    rng = np.random.default_rng(spec.seed)
-    centers = rng.uniform(-spec.center_box, spec.center_box, (spec.clusters, spec.dims))
-    noise = rng.normal(0.0, spec.cluster_spread, (spec.samples, spec.dims))
-    labels = np.arange(spec.samples) % spec.clusters
-    features = (centers[labels] + noise).astype(np.float32)
+    features = np.empty((spec.samples, spec.dims), dtype=np.float32)
+    labels: list[int] = []
+    for block, block_labels in _cluster_blocks(spec):
+        features[len(labels) : len(labels) + len(block)] = block
+        labels += block_labels
     # one row view and one small int per sample, with the flag left at True
-    return list(map(Sample, features, labels.tolist()))
+    return list(map(Sample, features, labels))
 
 
 @dataclass
@@ -172,19 +209,36 @@ def write_samples_csv(samples: Sequence[Sample], path, header: bool = True) -> N
     """Write samples as CSV, feature columns first, label last.
 
     Feature values are written with shortest f32 round-trip precision so a
-    reload reproduces the stream bit for bit.
+    reload reproduces the stream bit for bit. A sample whose features are
+    not one row as long as sample 0's raises a ValueError that names it,
+    before the file is opened.
     """
     if not samples:
         raise ValueError("nothing to write")
-    dims = len(samples[0].features)
+    _name_odd_row(samples)
+    _write_rows(path, len(samples[0].features), ((s.features, s.label) for s in samples), header)
+
+
+def write_clusters_csv(spec: DatasetSpec, path) -> None:
+    """Write spec's stream as write_samples_csv(generate_clusters(spec)) would.
+
+    The rows are drawn and written one block at a time, so memory does not
+    grow with spec.samples.
+    """
+    # chain lets go of each block's rows before it asks for the next block
+    _write_rows(path, spec.dims, chain.from_iterable(starmap(zip, _cluster_blocks(spec))), header=True)
+
+
+def _write_rows(path, dims: int, rows: Iterable[tuple[np.ndarray, int]], header: bool) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         if header:
             writer.writerow([f"f{i}" for i in range(dims)] + ["label"])
-        for s in samples:
-            writer.writerow(
-                [str(np.float32(v)) for v in s.features] + [int(s.label)]
-            )
+        writer.writerows(starmap(_csv_row, rows))
+
+
+def _csv_row(features: np.ndarray, label: int) -> list:
+    return [str(np.float32(v)) for v in features] + [int(label)]
 
 
 # Ready-made schemas for the two UCI benchmark files, as distributed:

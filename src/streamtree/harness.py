@@ -17,7 +17,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .serialize import model_bytes
-from .tree import Hyperparams, Sample, Tree, _as_f32, _sample_fault
+from .tree import Hyperparams, Sample, Tree, _as_f32, _name_odd_row, _sample_fault
 
 __all__ = [
     "Bundle",
@@ -51,21 +51,6 @@ class Bundle:
             counts = None
         if counts is None or len(counts) > 1:
             _name_odd_row(self.samples)
-
-
-def _name_odd_row(samples: Sequence[Sample]) -> None:
-    """Raise a ValueError naming the first sample whose features are not one row like sample 0's."""
-    first = None
-    for i, s in enumerate(samples):
-        try:
-            shape = np.shape(s.features)
-        except ValueError:
-            raise ValueError(f"sample {i}: features are not numbers") from None
-        if first is None and len(shape) == 1:
-            first = shape
-        if shape != first:
-            expected = "one row of features" if first is None else f"{first[0]} features, as sample 0"
-            raise ValueError(f"sample {i}: expected {expected}, got shape {shape}")
 
 
 def split_into_bundles(samples: Sequence[Sample], capacity: int) -> Iterator[Bundle]:

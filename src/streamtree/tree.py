@@ -102,6 +102,21 @@ class Sample:
         self.train = train
 
 
+def _name_odd_row(samples: Sequence[Sample]) -> None:
+    """Raise a ValueError naming the first sample whose features are not one row like sample 0's."""
+    first = None
+    for i, s in enumerate(samples):
+        try:
+            shape = np.shape(s.features)
+        except ValueError:
+            raise ValueError(f"sample {i}: features are not numbers") from None
+        if first is None and len(shape) == 1:
+            first = shape
+        if shape != first:
+            expected = "one row of features" if first is None else f"{first[0]} features, as sample 0"
+            raise ValueError(f"sample {i}: expected {expected}, got shape {shape}")
+
+
 _KIND_LEAF, _KIND_INTERNAL = 0, 1
 # a leaf's (kind, split_attr, split_value, left, right)
 _LEAF = (_KIND_LEAF, 0, 0.0, 0, 0)
@@ -287,9 +302,10 @@ class LeafStats:
     LeafStats(params) makes a leaf of its own. since_last_attempt counts
     the samples absorbed since the last split attempt the way a tree's
     leaf does (see _Records): on a non-frozen leaf it wraps to 0 every
-    n_min samples, standalone or not. The sketch grid has shape
-    (classes, dims, n_quantiles); each cell behaves as a standalone
-    QuantileSketch fed the same scalars. class_counts and sketch_estimates
+    n_min samples, standalone or not. It may be set to a Python or numpy
+    integer in [0, 2^63); anything else raises a ValueError. The sketch
+    grid has shape (classes, dims, n_quantiles); each cell behaves as a
+    standalone QuantileSketch fed the same scalars. class_counts and sketch_estimates
     are views into the records, which a split may replace to make room for
     its children: read them again after training rather than keeping them.
     Reading class_counts marks the leaf's cached answer unknown, since the
@@ -319,6 +335,9 @@ class LeafStats:
 
     @since_last_attempt.setter
     def since_last_attempt(self, value: int) -> None:
+        # the live count is int64; a float or a bool is refused, not cast
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not 0 <= value < 2**63:
+            raise ValueError(f"since_last_attempt must be an integer in [0, 2**63), got {value!r}")
         self._pool.since[self._slot] = value
 
     @property

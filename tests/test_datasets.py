@@ -1,11 +1,14 @@
 """Tests for the synthetic generator and CSV ingestion."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from streamtree.datasets import (
     CsvSchema,
     DatasetSpec,
+    _block_rows,
     generate_clusters,
     load_csv,
     write_samples_csv,
@@ -46,22 +49,37 @@ def test_small_spread_is_nearest_center_separable():
 
 @pytest.mark.parametrize("clusters,dims,spread,seed", [(5, 3, 0.04, 11), (7, 54, 0.5, 1)])
 def test_generator_equals_per_row_reference(clusters, dims, spread, seed):
-    # the stream as generate_clusters once built it, one indexed Sample per row
-    spec = DatasetSpec(clusters=clusters, dims=dims, samples=2_003, cluster_spread=spread, seed=seed)
-    rng = np.random.default_rng(seed)
-    centers = rng.uniform(-spec.center_box, spec.center_box, (clusters, dims))
-    noise = rng.normal(0.0, spread, (spec.samples, dims))
-    labels = np.arange(spec.samples) % clusters
-    features = (centers[labels] + noise).astype(np.float32)
-    reference = [Sample(features[i], int(labels[i]), True) for i in range(spec.samples)]
+    # 1, B - 1, B, B + 1 and 2B + 3 rows, for the generator's blocks of B rows
+    block = _block_rows(dims)
+    for count in (1, block - 1, block, block + 1, 2 * block + 3):
+        # the stream as generate_clusters once built it, one indexed Sample per row
+        spec = DatasetSpec(clusters=clusters, dims=dims, samples=count, cluster_spread=spread, seed=seed)
+        rng = np.random.default_rng(seed)
+        centers = rng.uniform(-spec.center_box, spec.center_box, (clusters, dims))
+        noise = rng.normal(0.0, spread, (spec.samples, dims))
+        labels = np.arange(spec.samples) % clusters
+        features = (centers[labels] + noise).astype(np.float32)
+        reference = [Sample(features[i], int(labels[i]), True) for i in range(spec.samples)]
 
-    samples = generate_clusters(spec)
-    assert len(samples) == len(reference)
-    for got, want in zip(samples, reference):
-        assert got.features.dtype == np.float32 and got.features.shape == (dims,)
-        assert got.features.tobytes() == want.features.tobytes()
-        assert type(got.label) is int and got.label == want.label
-        assert got.train is True
+        samples = generate_clusters(spec)
+        assert len(samples) == len(reference)
+        for got, want in zip(samples, reference):
+            assert got.features.dtype == np.float32 and got.features.shape == (dims,)
+            assert got.features.tobytes() == want.features.tobytes()
+            assert type(got.label) is int and got.label == want.label
+            assert got.train is True
+
+
+def test_generator_peaks_one_block_above_what_it_keeps():
+    # the (samples, dims) f64 noise, gather and sum once peaked 13.3 MiB above the stream
+    tracemalloc.start()
+    try:
+        samples = generate_clusters(DatasetSpec(7, 54, 20_000, 0.5))
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(samples) == 20_000
+    assert peak - kept <= 2 * 2**20
 
 
 def test_all_samples_train_flagged():
@@ -88,6 +106,20 @@ def test_csv_write_load_round_trip(tmp_path):
     for a, b in zip(samples, back):
         assert a.features.tobytes() == b.features.tobytes()
         assert a.label == b.label
+
+
+@pytest.mark.parametrize("odd,message", [
+    ([1.0, 2.0, 3.0], r"sample 1: expected 2 features, as sample 0, got shape \(3,\)"),
+    ([[1.0, 2.0]], r"sample 1: expected 2 features, as sample 0, got shape \(1, 2\)"),
+    (1.0, r"sample 1: expected 2 features, as sample 0, got shape \(\)"),
+], ids=["longer", "two-dimensional", "scalar"])
+def test_csv_write_names_odd_row_before_opening(tmp_path, odd, message):
+    # a longer row once went out under the 2-column header and reloaded its third value as the label
+    path = tmp_path / "stream.csv"
+    samples = [Sample([1.0, 2.0], 0), Sample(odd, 1), Sample([5.0, 6.0], 0)]
+    with pytest.raises(ValueError, match=message):
+        write_samples_csv(samples, path)
+    assert not path.exists()
 
 
 def test_csv_basic_numeric(tmp_path):

@@ -305,6 +305,25 @@ def test_since_last_attempt_saturates_on_the_wire():
         assert serialize(back) == buf
 
 
+@pytest.mark.parametrize("value", [-5, 2**63, 2**64, 2.7, np.float64(3.0), True, np.int64(-1), "3", None],
+                         ids=repr)
+def test_since_last_attempt_refuses_what_is_not_a_count(value):
+    # -5 once went out on the wire as 4,294,967,291, 2.7 was stored as 2 and 2^64 raised OverflowError
+    stats = Tree(Hyperparams(dims=2, classes=2)).arena[0].stats
+    with pytest.raises(ValueError, match=r"since_last_attempt must be an integer in \[0, 2\*\*63\), got"):
+        stats.since_last_attempt = value
+    assert stats.since_last_attempt == 0
+
+
+@pytest.mark.parametrize("value", [0, 7, 2**32 + 5, 2**63 - 1, np.int32(9), np.uint64(2**63 - 1)])
+def test_since_last_attempt_takes_python_and_numpy_counts(value):
+    tree = Tree(Hyperparams(dims=2, classes=2))
+    tree.arena[0].stats.since_last_attempt = value
+    assert tree.arena[0].stats.since_last_attempt == int(value)
+    back = deserialize(serialize(tree))
+    assert back.arena[0].stats.since_last_attempt == min(int(value), 2**32 - 1)
+
+
 WIDE_ITEMS = {
     "memoryview": lambda buf: memoryview(buf).cast("H"),
     "ndarray": lambda buf: np.frombuffer(buf, np.uint16),

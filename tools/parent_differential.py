@@ -24,6 +24,13 @@ process per side, and compares them:
   at or past n_min on a leaf that may still split, and a tree trained
   from empty never does.
 
+It also hashes nine generator streams on each side, on which no tree is
+trained: the populations of the three benchmark workloads (D=3 K=5 at
+160,000 and 168,000 rows, D=54 K=7 at 20,000 rows), and streams of
+B - 1, B and B + 1 rows at D=3 and at D=54, where B is the rows in one
+generator block. So a change to the generator alone is checked against
+REF's output too.
+
 Every other tree starts empty; a resumed tree's every feeding starts
 from a deserialize() of its start snapshot. Each side first hashes every
 corpus stream (feature bytes, labels and train flags) and every start
@@ -41,6 +48,8 @@ and the batched predict() must agree on probe rows: the stream's rows,
 random rows, and rows made of the thresholds and of +-0.0. A side without
 Tree.predict answers those with per-row infer(). The script prints the
 tree, node and frozen-leaf counts and every mismatch, and exits 1 on any.
+Of the 153 streams it compares, 144 feed trees and nine are the
+generator streams above.
 The corpora are those of tests/test_learn.py and tests/test_acceptance.py,
 but for the resumed trees.
 It takes some minutes per side.
@@ -62,6 +71,8 @@ CHUNKS = (1, 37, 1_000, 5_000)
 BETWEEN_CHUNK = 1_000
 # the rows a resumed tree is trained on before its counters are set
 RESUME_AT = 2_000
+# generate_clusters draws max(1, GENERATOR_BLOCK_VALUES // dims) rows per block
+GENERATOR_BLOCK_VALUES = 2**17
 
 
 def corpus(st, np):
@@ -144,6 +155,22 @@ def corpus(st, np):
         for count in (n_min - 1, n_min, 3 * n_min + 1):
             origin = resumed(st, params, stream[:RESUME_AT], count)
             yield f"resumed-{n_min}-{count}", params, stream[RESUME_AT:], origin
+
+
+def stream_only(st):
+    """(name, stream) of the generator streams that no tree is trained on.
+
+    The populations of the three benchmark workloads, and streams one row
+    short of, at and one row past a generator block at D=3 and at D=54.
+    """
+    D = st.DatasetSpec
+    yield "stream-synth-d3k5", st.generate_clusters(D(5, 3, 160_000, 0.04))
+    yield "stream-covtype-d54k7", st.generate_clusters(D(7, 54, 20_000, 0.5))
+    yield "stream-serve-bundles", st.generate_clusters(D(5, 3, 168_000, 0.04))
+    for dims in (3, 54):
+        rows = max(1, GENERATOR_BLOCK_VALUES // dims)
+        for samples in (rows - 1, rows, rows + 1):
+            yield f"stream-d{dims}-{samples}", st.generate_clusters(D(7, dims, samples, 0.5, seed=dims))
 
 
 def resumed(st, params, warmup, count) -> bytes:
@@ -230,6 +257,8 @@ def worker(src: str) -> None:
         nodes += tree.node_count
         frozen += sum(bool(tree.arena[i].stats.frozen) for i in tree.leaf_indices())
         print(f"{src}: {name}", file=sys.stderr, flush=True)
+    for name, stream in stream_only(st):
+        streams[name] = stream_digest(stream, np)
     summary = {"nodes": nodes, "frozen_leaves": frozen}
     print(json.dumps({"streams": streams, "digests": out, "summary": summary}))
 
@@ -269,7 +298,8 @@ def main() -> int:
               "its answers are not compared")
     compared = [key for key in theirs["digests"] if key.split("/")[0] not in changed]
     mismatches = [key for key in compared if mine["digests"].get(key) != theirs["digests"][key]]
-    print(f"{len(theirs['streams'])} trees, {mine['summary']['nodes']} nodes, "
+    trees = len({key.split("/")[0] for key in theirs["digests"]})
+    print(f"{trees} trees, {mine['summary']['nodes']} nodes, "
           f"{mine['summary']['frozen_leaves']} frozen leaves "
           f"({args.ref}: {theirs['summary']['nodes']} nodes, "
           f"{theirs['summary']['frozen_leaves']} frozen leaves)")
