@@ -210,12 +210,16 @@ def write_samples_csv(samples: Sequence[Sample], path, header: bool = True) -> N
 
     Feature values are written with shortest f32 round-trip precision so a
     reload reproduces the stream bit for bit. A sample whose features are
-    not one row as long as sample 0's raises a ValueError that names it,
-    before the file is opened.
+    not one row as long as sample 0's, or whose label is not a Python or
+    numpy integer, raises a ValueError that names it, before the file is
+    opened; no label is cast.
     """
     if not samples:
         raise ValueError("nothing to write")
     _name_odd_row(samples)
+    for i, s in enumerate(samples):
+        if not isinstance(s.label, (int, np.integer)):
+            raise ValueError(f"sample {i}: label {s.label!r} is not an integer")
     _write_rows(path, len(samples[0].features), ((s.features, s.label) for s in samples), header)
 
 

@@ -43,10 +43,18 @@ def quantile_targets(n_quantiles: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _signum_steps(n_quantiles: int, step: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per-estimate increments (upward, downward) as read-only f32 arrays."""
+    """Per-estimate increments (upward, downward) as read-only f32 arrays.
+
+    Raises a ValueError unless every increment is finite and above 0 in
+    f32, which signum_update's arithmetic step needs to be exact.
+    """
     p = quantile_targets(n_quantiles)
-    up = (2.0 * step * p).astype(np.float32)
-    down = (2.0 * step * (1.0 - p)).astype(np.float32)
+    with np.errstate(over="ignore"):
+        up = (2.0 * step * p).astype(np.float32)
+        down = (2.0 * step * (1.0 - p)).astype(np.float32)
+    increments = np.concatenate((up, down))
+    if not ((increments > 0.0) & (increments < np.inf)).all():
+        raise ValueError(f"sketch step {step!r} gives f32 increments of 0 or inf")
     up.flags.writeable = False
     down.flags.writeable = False
     return up, down
@@ -55,15 +63,28 @@ def _signum_steps(n_quantiles: int, step: float) -> tuple[np.ndarray, np.ndarray
 def signum_update(estimates: np.ndarray, x, up: np.ndarray, down: np.ndarray) -> None:
     """Apply one asymmetric-signum step in place along the trailing axis.
 
-    ``estimates`` is f32 with shape (..., n); ``x`` must broadcast against it
-    (a scalar, or shape (..., 1) for batched rows). Estimates exactly equal
-    to the observation do not move. The trailing axis is re-sorted afterwards
-    so the estimate vector stays a valid monotone quantile function.
+    ``estimates`` is f32 with shape (..., n); ``x``, ``up`` and ``down``
+    must broadcast against it (``x`` a scalar or shape (..., 1), the steps
+    shape (n,), for one row). Estimates exactly equal to the observation
+    do not move. The trailing axis is re-sorted afterwards so the estimate
+    vector stays a valid monotone quantile function.
+
+    The step is one subtraction, estimates -= below * down - above * up,
+    with below and above the bool masks of x < estimates and x >
+    estimates. Each estimate thus moves by -(-up), -down or -(+0.0), and
+    that is bit for bit the masked ``estimates + up`` or ``estimates -
+    down`` or no move, -0.0 included: a - (-b) is a + b in IEEE
+    arithmetic, a bool times a finite positive step is the step or +0.0,
+    and a - (+0.0) is a for every a. _signum_steps keeps every step finite
+    and positive.
+
+    Operands of the estimates' full shape make the call cheaper, since a
+    broadcast operand runs numpy's stride-0 inner loop: at (6, 54, 16), a
+    compare takes 3 to 5 times as long with ``x`` at (6, 54, 1) as with
+    ``x`` expanded. The tree's waves pass full-shape operands (see
+    _Records._waves); a lone row broadcasts.
     """
-    above = x > estimates
-    below = x < estimates
-    np.add(estimates, up, out=estimates, where=above)
-    np.subtract(estimates, down, out=estimates, where=below)
+    estimates -= (x < estimates) * down - (x > estimates) * up
     estimates.sort(axis=-1)
 
 
@@ -117,6 +138,7 @@ class QuantileSketch:
             raise ValueError("n_quantiles must be positive")
         if not step > 0.0:
             raise ValueError("step must be positive")
+        _signum_steps(n_quantiles, float(step))
         self.n_quantiles = n_quantiles
         self.step = float(step)
         self.estimates = np.zeros(n_quantiles, dtype=np.float32)

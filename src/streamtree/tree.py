@@ -38,6 +38,9 @@ __all__ = [
 # learn() works through its rows in blocks of at most this many, which bounds
 # its temporaries (a (rows, classes) count table among them)
 _BLOCK_ROWS = 8192
+# absorb expands at most this many f32 values of rows over the quantile axis
+# at once, and keeps step grids of at most as many (1 MiB each)
+_WAVE_VALUES = 2**18
 
 
 @dataclass(frozen=True)
@@ -79,6 +82,7 @@ class Hyperparams:
             raise ValueError("n_pt must lie in [1, n_quantiles]")
         if self.max_nodes < 1:
             raise ValueError("max_nodes must be positive")
+        _signum_steps(self.n_quantiles, self.lam)
 
 
 @dataclass(slots=True)
@@ -190,10 +194,14 @@ class _Records:
     majority class, or -1 where it is not known. Writers only invalidate:
     a slot whose counts may have changed goes back to -1, and majority()
     computes it again from the counts on the next read.
+
+    grids holds the steps up and down expanded to (rows, dims,
+    n_quantiles), the full-shape operands of absorb's waves (see _waves),
+    or None before the first such wave.
     """
 
     __slots__ = ("array", "since", "counts", "sketch", "frozen", "answer", "targets", "up", "down",
-                 "n_min")
+                 "grids", "n_min")
 
     def __init__(self, params: Hyperparams, array: np.ndarray, since: np.ndarray) -> None:
         self._bind(array, since)
@@ -201,6 +209,8 @@ class _Records:
         self.n_min = params.n_min
         self.targets = quantile_targets(params.n_quantiles)
         self.up, self.down = _signum_steps(params.n_quantiles, params.lam)
+        # built by the first waves that need them, so a load pays nothing
+        self.grids = None
 
     def _bind(self, array: np.ndarray, since: np.ndarray) -> None:
         self.array, self.since = array, since
@@ -240,12 +250,12 @@ class _Records:
     def absorb_cell(self, slot: int, label: int, x: np.ndarray) -> None:
         """Fold every row of x, (rows, dims), into class label of slot, in order."""
         self.answer[slot] = -1
-        row = self.sketch[slot, label]
-        fresh = not self.counts[slot, label]
+        row, values = self.sketch[slot, label], x[..., None]
+        fresh = 0 if self.counts[slot, label] else 1
         if fresh:
-            row[:] = x[0, :, None]
-        for value in x[int(fresh):, :, None]:
-            signum_update(row, value, self.up, self.down)
+            row[:] = values[0]
+        for i in range(fresh, len(x)):
+            signum_update(row, values[i], self.up, self.down)
         self.counts[slot, label] += len(x)
         since = int(self.since[slot])
         self.since[slot] = (since + len(x) if self.frozen[slot]
@@ -261,31 +271,29 @@ class _Records:
         into an aligned block, largest cell first: wave t's cells are then
         the first m_t of the block, and each wave updates the prefix view
         block[:m_t] with a contiguous slice of the rows, before one scatter
-        back. Rows that all hit one cell update its sketch row in place. A
-        cell's first sample ever seeds every knot at its value, so its own
-        step moves nothing. Every touched slot's answer becomes unknown, and
-        its since advances by its row count, as absorb_cell's does.
+        back (see _waves). Rows that all hit one cell update its sketch row
+        in place. A cell's first sample ever seeds every knot at its value,
+        so its own step moves nothing. Every touched slot's answer becomes
+        unknown, and its since advances by its row count, as absorb_cell's
+        does.
         """
         classes = self.counts.shape[1]
         keys = slots * classes + labels
         if len(keys) == 1 or (keys == keys[0]).all():
             self.absorb_cell(int(slots[0]), int(labels[0]), x)
             return
-        cells, sizes, rows, bounds = _prefix_waves(keys)
-        x = x[rows, :, None]
+        cells, sizes, rows, ends = _prefix_waves(keys)
+        x = x[rows]
         cell = np.divmod(cells, classes)
         for slot in cell[0].tolist():
             self.answer[slot] = -1
         block = self.sketch[cell]
         seen = self.counts[cell]
-        # the first wave holds every cell once, in block order
-        first = x[: len(cells)]
         if np.count_nonzero(seen) < len(seen):
+            # the first wave holds every cell once, in block order
             fresh = seen == 0
-            block[fresh] = first[fresh]
-        signum_update(block, first, self.up, self.down)
-        for begin, end in zip(bounds, bounds[1:]):
-            signum_update(block[: end - begin], x[begin:end], self.up, self.down)
+            block[fresh] = x[: len(cells), :, None][fresh]
+        self._waves(block, x, ends)
         self.sketch[cell] = block
         self.counts[cell] = seen + sizes
         rows = np.bincount(slots)
@@ -293,6 +301,37 @@ class _Records:
         rows, since = rows[touched], self.since[touched]
         self.since[touched] = np.where(self.frozen[touched], since + rows,
                                        (np.minimum(since, self.n_min - 1) + rows) % self.n_min)
+
+    def _waves(self, block: np.ndarray, x: np.ndarray, ends: list[int]) -> None:
+        """Run the waves of rows x, (rows, dims), ending at ends, over prefix views of block.
+
+        Each wave's operands have its block view's full shape, (m_t, dims,
+        n_quantiles), since broadcast ones make signum_update slower (see
+        there): the rows are expanded over the quantile axis a slice of
+        waves at a time, and the steps are prefix views of step grids kept
+        beside the records. Both are bounded by _WAVE_VALUES; a wave wider
+        than that, only ever a call's first waves since m_t never grows,
+        broadcasts its operands instead.
+        """
+        dims, nq = block.shape[1:]
+        span = max(1, _WAVE_VALUES // (dims * nq))
+        have = 0 if self.grids is None else len(self.grids[0])
+        if have < min(len(block), span):
+            rows = min(max(len(block), 2 * have), span)
+            self.grids = tuple(np.broadcast_to(step, (rows, dims, nq)).copy()
+                               for step in (self.up, self.down))
+        up, down = self.grids
+        begin = lo = hi = 0
+        for end in ends:
+            m = end - begin
+            if m > span:
+                signum_update(block[:m], x[begin:end, :, None], self.up, self.down)
+            else:
+                if end > hi:
+                    lo, hi = begin, min(begin + span, len(x))
+                    grid = x[lo:hi].repeat(nq, axis=1).reshape(hi - lo, dims, nq)
+                signum_update(block[:m], grid[begin - lo : end - lo], up[:m], down[:m])
+            begin = end
 
 
 class LeafStats:

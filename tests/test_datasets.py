@@ -1,5 +1,6 @@
 """Tests for the synthetic generator and CSV ingestion."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -120,6 +121,25 @@ def test_csv_write_names_odd_row_before_opening(tmp_path, odd, message):
     with pytest.raises(ValueError, match=message):
         write_samples_csv(samples, path)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("label", [2.7, "x", None, np.float64(1.0)], ids=repr)
+def test_csv_write_refuses_a_label_that_is_not_an_integer_before_opening(tmp_path, label):
+    # 2.7 once went out as 2, and "x" failed after part of the file was written
+    path = tmp_path / "stream.csv"
+    samples = [Sample([1.0, 2.0], 0), Sample([3.0, 4.0], label)]
+    with pytest.raises(ValueError, match=re.escape(f"sample 1: label {label!r} is not an integer")):
+        write_samples_csv(samples, path)
+    assert not path.exists()
+
+
+def test_csv_write_takes_python_and_numpy_integer_labels(tmp_path):
+    path = tmp_path / "stream.csv"
+    samples = [Sample([1.0, 2.0], 0), Sample([3.0, 4.0], np.int64(1)), Sample([5.0, 6.0], np.int64(0))]
+    write_samples_csv(samples, path)
+    assert path.read_text().splitlines()[1:] == ["1.0,2.0,0", "3.0,4.0,1", "5.0,6.0,0"]
+    back = load_csv(path, CsvSchema(features=["f0", "f1"], label="label"))
+    assert [s.label for s in back] == [0, 1, 0]
 
 
 def test_csv_basic_numeric(tmp_path):

@@ -9,6 +9,7 @@ snapshots.
 """
 
 import math
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -539,6 +540,48 @@ def test_one_signum_update_per_wave(monkeypatch):
     tree.learn(X[:5], np.full(5, 2), np.ones(5, dtype=bool))
     assert in_place == [True] * 5
     assert tree.arena[0].stats.class_counts.tolist() == [16, 11, 18]
+
+
+def test_waves_run_on_full_shape_operands_within_their_bound(monkeypatch):
+    # 5 classes at one leaf, cells of 9 to 5 rows: with the bound at 2 rows
+    # of values, the waves of 3 or more cells broadcast their operands, the
+    # narrower ones take full-shape operands from row slices expanded 2 rows
+    # at a time; the tree must be byte-identical to one with the bound unhit
+    rng = np.random.default_rng(1)
+    X = rng.normal(size=(35, 3)).astype(np.float32)
+    labels = np.repeat(np.arange(5), [9, 8, 7, 6, 5])
+    rng.shuffle(labels)
+    params = Hyperparams(dims=3, classes=5, n_min=1_000)
+    wide = Tree(params)
+    wide.learn(X, labels, np.ones(35, dtype=bool))
+    shapes = []
+
+    def recording(estimates, x, up, down):
+        shapes.append((len(estimates), x.shape == up.shape == down.shape == estimates.shape))
+        signum_update(estimates, x, up, down)
+
+    monkeypatch.setattr(tree_module, "signum_update", recording)
+    monkeypatch.setattr(tree_module, "_WAVE_VALUES", 2 * 3 * params.n_quantiles)
+    narrow = Tree(params)
+    narrow.learn(X, labels, np.ones(35, dtype=bool))
+    assert shapes == [(5, False)] * 5 + [(4, False), (3, False), (2, True), (1, True)]
+    assert serialize(narrow) == serialize(wide)
+
+
+def test_learn_temporaries_stay_bounded_at_d54():
+    # rows expanded over the quantile axis whole would take 27 MiB here
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(8192, 54)).astype(np.float32)
+    labels = rng.integers(0, 7, 8192)
+    tree = Tree(Hyperparams(dims=54, classes=7, n_min=100_000))
+    tracemalloc.start()
+    try:
+        tree.learn(X, labels, np.ones(8192, dtype=bool))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tree.node_count == 1
+    assert peak < 8 * 2**20
 
 
 def test_learn_answers_infer_rows_without_training():

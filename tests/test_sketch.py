@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamtree.sketch import QuantileSketch, cdf_lookup, quantile_targets
+from streamtree.sketch import (
+    QuantileSketch,
+    _signum_steps,
+    cdf_lookup,
+    quantile_targets,
+    signum_update,
+)
+from streamtree.tree import Hyperparams
 
 
 def make_sketch_123():
@@ -165,6 +172,15 @@ def test_constructor_validation():
         QuantileSketch(4, step=0.0)
 
 
+@pytest.mark.parametrize("step", [1e-47, 1e39])
+def test_steps_that_round_to_zero_or_inf_in_f32_are_refused(step):
+    # signum_update's arithmetic step is exact only for finite positive steps
+    with pytest.raises(ValueError, match="f32 increments of 0 or inf"):
+        QuantileSketch(16, step=step)
+    with pytest.raises(ValueError, match="f32 increments of 0 or inf"):
+        Hyperparams(dims=1, classes=2, lam=step)
+
+
 def test_cdf_lookup_interpolates_in_float64():
     est = np.array([0.0, 1.0], dtype=np.float32)
     t = np.array([0.25, 0.75])
@@ -178,3 +194,65 @@ def test_cdf_lookup_on_an_infinite_knot_reads_its_target():
     t = quantile_targets(3)
     assert cdf_lookup(est, t, -np.inf) == t[0]
     assert cdf_lookup(est, t, 0.0) == t[1]
+
+
+# ------------------------------------------------------- step exactness
+
+
+def masked_signum_update(estimates, x, up, down):
+    """The masked step signum_update made before its arithmetic form: the reference."""
+    above = x > estimates
+    below = x < estimates
+    np.add(estimates, up, out=estimates, where=above)
+    np.subtract(estimates, down, out=estimates, where=below)
+    estimates.sort(axis=-1)
+
+
+# repeated values, signed zeros and magnitudes up to 1e30
+TIE_VALUES = np.array([0.0, -0.0, 1.0, -1.0, 2.5, 1e30, -1e30, 3e-39], dtype=np.float32)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.integers(1, 40),
+    dims=st.sampled_from([1, 3, 54]),
+    lam=st.sampled_from([0.01, 0.5, 1e-44, 1e25]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_signum_update_matches_the_masked_step_byte_for_byte(m, dims, lam, seed):
+    rng = np.random.default_rng(seed)
+    nq = 16
+    wide = (rng.standard_normal(8) * 10.0 ** rng.integers(-3, 31, 8)).astype(np.float32)
+    values = np.concatenate((TIE_VALUES, wide))
+    knots = np.sort(rng.choice(values, size=(m, dims, nq)), axis=-1)
+    # half the observations are knots of their own row: ties
+    own = np.take_along_axis(knots, rng.integers(0, nq, (m, dims, 1)), axis=-1)
+    x = np.where(rng.random((m, dims, 1)) < 0.5, own, rng.choice(values, size=(m, dims, 1)))
+    up, down = _signum_steps(nq, lam)
+    want = knots.copy()
+    masked_signum_update(want, x, up, down)
+
+    def full(a):
+        return np.ascontiguousarray(np.broadcast_to(a, knots.shape))
+
+    for operands in ((x, up, down), (full(x), full(up), full(down))):
+        got = knots.copy()
+        signum_update(got, *operands)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_sketch_update_matches_the_masked_step_byte_for_byte():
+    # seeded at -0.0, then ties of either sign, then repeated values
+    rng = np.random.default_rng(5)
+    zeros = rng.choice(TIE_VALUES[:2], size=50)
+    xs = np.concatenate(([-0.0], zeros, rng.choice(TIE_VALUES[:5], size=350)))
+    sk = QuantileSketch(8, step=0.5)
+    up, down = _signum_steps(8, 0.5)
+    want = np.full(8, -0.0, dtype=np.float32)
+    for i, x in enumerate(xs):
+        sk.update(float(x))
+        if i:
+            masked_signum_update(want, np.float32(x), up, down)
+        assert sk.estimates.tobytes() == want.tobytes()
+        if i == len(zeros):
+            assert np.signbit(want).all() and (want == 0.0).all()

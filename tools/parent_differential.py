@@ -3,7 +3,7 @@
     python tools/parent_differential.py REF
 
 Extracts the files of commit REF (for example HEAD~1) with `git archive`
-into a temporary directory, then trains the same 144 trees with the
+into a temporary directory, then trains the same 146 trees with the
 streamtree package under src/ of this checkout and with REF's, one
 process per side, and compares them:
 
@@ -17,6 +17,10 @@ process per side, and compares them:
 - a stream of four classes in four regions, whose leaves hold one class,
   at max_nodes 3 and 7, so that most attempts cannot act and the arena
   fills in the middle of a chunk;
+- a D=4 K=3 stream of integer-grid features, whose zeros carry either
+  sign, and a column of +-0.0 alone, at max_nodes 2047 and 7: its
+  observations tie with sketch knots, which generated Gaussian streams
+  never do;
 - resumed trees: acceptance seed 2 (12,000 rows) at n_min 7 and 50,
   whose first 2,000 rows go in as single train() calls, after which
   every non-frozen leaf's samples-since-attempt counter is set to
@@ -48,10 +52,10 @@ and the batched predict() must agree on probe rows: the stream's rows,
 random rows, and rows made of the thresholds and of +-0.0. A side without
 Tree.predict answers those with per-row infer(). The script prints the
 tree, node and frozen-leaf counts and every mismatch, and exits 1 on any.
-Of the 153 streams it compares, 144 feed trees and nine are the
+Of the 155 streams it compares, 146 feed trees and nine are the
 generator streams above.
 The corpora are those of tests/test_learn.py and tests/test_acceptance.py,
-but for the resumed trees.
+but for the resumed trees and the tied stream.
 It takes some minutes per side.
 """
 
@@ -76,7 +80,7 @@ GENERATOR_BLOCK_VALUES = 2**17
 
 
 def corpus(st, np):
-    """(name, params, stream, origin) of the 144 trees.
+    """(name, params, stream, origin) of the 146 trees.
 
     origin is None for a tree that starts empty, else the snapshot bytes
     of the tree that every feeding of the stream starts from.
@@ -147,6 +151,17 @@ def corpus(st, np):
     for nodes in (3, 7):
         params = H(dims=2, classes=4, n_min=20, tau=1.0, max_nodes=nodes)
         yield f"one-class-leaves-{nodes}", params, regions, None
+
+    rng = np.random.default_rng(900)
+    labels = rng.integers(0, 3, 5_000)
+    X = (labels[:, None] + rng.integers(-2, 3, (5_000, 4))).astype(np.float32)
+    X[:, 3] = 0.0
+    zeros = X == 0.0
+    X[zeros] = rng.choice(np.float32([0.0, -0.0]), size=int(zeros.sum()))
+    tied = [S(x, int(y)) for x, y in zip(X, labels)]
+    for nodes in (2047, 7):
+        params = H(dims=4, classes=3, n_min=50, tau=0.1, max_nodes=nodes)
+        yield f"ties-and-signed-zeros-{nodes}", params, tied, None
 
     spec = D(clusters=5, dims=3, samples=12_000, cluster_spread=0.04, center_box=2.0, seed=2)
     stream = st.generate_clusters(spec)
