@@ -30,6 +30,12 @@ import numpy as np
 
 __all__ = ["QuantileSketch", "quantile_targets"]
 
+# signum_update sorts every row of a call with fewer sketch rows than this;
+# a larger call first looks for the rows the step left out of order, in one
+# pass over the call, which beats a sort of every row from about this size
+# on (see _sort_crossed and the README's "Training path")
+_SORT_ROWS = 128
+
 
 @lru_cache(maxsize=None)
 def quantile_targets(n_quantiles: int) -> np.ndarray:
@@ -83,9 +89,56 @@ def signum_update(estimates: np.ndarray, x, up: np.ndarray, down: np.ndarray) ->
     compare takes 3 to 5 times as long with ``x`` at (6, 54, 1) as with
     ``x`` expanded. The tree's waves pass full-shape operands (see
     _Records._waves); a lone row broadcasts.
+
+    A call with fewer than _SORT_ROWS rows of n sorts every row; a
+    C-contiguous call with more re-sorts only the rows the step left out
+    of order, unless there are many (see _sort_crossed).
     """
     estimates -= (x < estimates) * down - (x > estimates) * up
-    estimates.sort(axis=-1)
+    n = estimates.shape[-1]
+    if estimates.size < _SORT_ROWS * n or not estimates.flags.c_contiguous:
+        estimates.sort(axis=-1)
+    else:
+        _sort_crossed(estimates.reshape(-1, n))
+
+
+def _sort_crossed(rows: np.ndarray) -> None:
+    """Sort the C-contiguous rows as a sort of all of them would, touching few when few moved.
+
+    A strictly increasing row is what np.sort returns for it, byte for
+    byte, so only the others can change. They are found by one flat
+    comparison of each value with the next, with the pairs that straddle
+    two rows counted as in order; a row holding -0.0 and +0.0 side by
+    side, or any repeat, or a NaN, is not strictly increasing. Each such
+    row is sorted in place on its own, which costs some ten times a row's
+    share of a sort of all rows, so when more than one pair in 16 rows is
+    out of order (a freshly seeded row alone has n - 1) every row is
+    sorted instead.
+    """
+    n = rows.shape[1]
+    flat = rows.reshape(-1)
+    rising = flat[:-1] < flat[1:]
+    rising[n - 1 :: n] = True
+    unordered = len(rising) - np.count_nonzero(rising)
+    if unordered > len(rows) // 16:
+        rows.sort(axis=1)
+    elif unordered:
+        for row in set((np.flatnonzero(~rising) // n).tolist()):
+            rows[row].sort()
+
+
+def count_at_or_below(knots: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """np.count_nonzero(knots <= values[..., None], axis=-1) for knots sorted along the last axis.
+
+    A sorted row's comparisons are True up to its last knot at or below
+    the value and False after it, so the count is where the first False
+    stands, or the row's length if the last comparison is True; a NaN
+    value compares False everywhere and counts 0. argmin finds the first
+    False, and on a short axis it is several times cheaper than the
+    count.
+    """
+    below = knots <= values[..., None]
+    return np.where(below[..., -1], knots.shape[-1], below.argmin(axis=-1))
 
 
 def cdf_grid(knots: np.ndarray, targets: np.ndarray, values) -> np.ndarray:
@@ -97,18 +150,21 @@ def cdf_grid(knots: np.ndarray, targets: np.ndarray, values) -> np.ndarray:
     target outside the knot range. Runs of equal knots resolve to the
     largest target in the run, i.e. the curve is right-continuous.
     Comparisons and arithmetic are in f64; each read performs the
-    operations a scalar read would, in the same order.
+    operations a scalar read would, in the same order. The two knots
+    around each read are gathered from the flat knots, by the read's
+    curve and its count of knots at or below the value.
     """
     knots = np.asarray(knots, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
     n = knots.shape[-1]
-    # knots <= value, counted, is searchsorted(knots, value, side="right")
-    i = np.count_nonzero(knots <= values[..., None], axis=-1)
+    i = count_at_or_below(knots, values)
     lo = np.maximum(i - 1, 0)
     hi = np.minimum(i, n - 1)
-    grid = np.broadcast_to(knots, i.shape + (n,))
-    e0 = np.take_along_axis(grid, lo[..., None], axis=-1)[..., 0]
-    e1 = np.take_along_axis(grid, hi[..., None], axis=-1)[..., 0]
+    # where each read's curve starts in the flat knots
+    start = np.broadcast_to(np.arange(0, knots.size, n).reshape(knots.shape[:-1]), i.shape)
+    flat = knots.reshape(-1)
+    e0 = flat[start + lo]
+    e1 = flat[start + hi]
     t0 = targets[lo]
     with np.errstate(divide="ignore", invalid="ignore"):
         # NaN or inf only where a clamp or a knot hit below replaces it
@@ -118,7 +174,12 @@ def cdf_grid(knots: np.ndarray, targets: np.ndarray, values) -> np.ndarray:
 
 
 def cdf_lookup(estimates: np.ndarray, targets: np.ndarray, value: float) -> float:
-    """Inverse read of one monotone (estimates -> targets) curve; see cdf_grid."""
+    """Inverse read of one monotone (estimates -> targets) curve; see cdf_grid.
+
+    Raises a ValueError for a NaN value, which no threshold is.
+    """
+    if math.isnan(value):
+        raise ValueError(f"cannot read a CDF at value {float(value)}")
     return float(cdf_grid(estimates, targets, value))
 
 

@@ -22,7 +22,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .sketch import _signum_steps, cdf_grid, cdf_lookup, quantile_targets, signum_update
+from .sketch import (
+    _signum_steps, cdf_grid, cdf_lookup, count_at_or_below, quantile_targets, signum_update,
+)
 
 __all__ = [
     "Hyperparams",
@@ -404,7 +406,13 @@ class LeafStats:
         self._pool.absorb_cell(self._slot, label, np.asarray(features)[None])
 
     def cdf(self, label: int, attr: int, value: float) -> float:
-        """Estimated P(x_attr <= value | class=label). Requires a seen class."""
+        """Estimated P(x_attr <= value | class=label). Requires a seen class.
+
+        A label or an attribute that is not an index of the sketch grid,
+        or a NaN value, raises a ValueError that names it.
+        """
+        classes, dims = self._pool.sketch.shape[1:3]
+        label, attr = _index(label, classes, "class"), _index(attr, dims, "attribute")
         if self.class_counts[label] == 0:
             raise ValueError(f"class {label} has no observations at this leaf")
         return cdf_lookup(self.sketch_estimates[label, attr], self._targets, value)
@@ -486,6 +494,13 @@ def _prefix_waves(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     return grouped[firsts], size[group[firsts]], order[waves], np.bincount(rank).cumsum().tolist()
 
 
+def _index(i, size: int, what: str) -> int:
+    """i as an int in [0, size), or a ValueError that names it; a bool is no index."""
+    if isinstance(i, (bool, np.bool_)) or not isinstance(i, (int, np.integer)) or not 0 <= i < size:
+        raise ValueError(f"{what} {i!r} is not an index in [0, {size})")
+    return int(i)
+
+
 def hoeffding_bound(range_r: float, delta: float, n: int) -> float:
     """Deviation bound sqrt(R^2 * ln(1/delta) / (2N)) for N samples of range R."""
     if range_r < 0.0:
@@ -536,13 +551,31 @@ def _partition_gain(parent, n, left, n_left, right, n_right) -> np.ndarray:
 def _seen_knots(stats: LeafStats) -> tuple[np.ndarray, np.ndarray]:
     """Mask of the classes the leaf has seen, and their knots per attribute.
 
-    The knots are f64 with shape (dims, seen classes, n_quantiles).
+    The knots are f32, C-contiguous, with shape (dims, seen classes,
+    n_quantiles).
     """
     seen = stats.class_counts > 0
     if not seen.any():
         raise ValueError("leaf has absorbed no training samples")
-    knots = stats.sketch_estimates[seen].transpose(1, 0, 2).astype(np.float64)
-    return seen, knots
+    return seen, np.ascontiguousarray(stats.sketch_estimates[seen].transpose(1, 0, 2))
+
+
+def _stable_order(values: np.ndarray) -> np.ndarray:
+    """np.argsort(values, axis=1, kind="stable") of f32 rows free of NaN, by one integer sort.
+
+    Each value's bits give an int32 key in the values' order: +0.0 added
+    first makes -0.0 into +0.0, which it equals; a sign-magnitude value's
+    bits then order as two's complement once a negative value's magnitude
+    bits are flipped. The key in the high half of an int64 and the
+    value's index in its row in the low half make every entry distinct,
+    so a sort of these composites, stable or not, orders by value and
+    then by index, as the stable argsort does.
+    """
+    bits = (values + np.float32(0.0)).view(np.int32)
+    keys = (bits ^ ((bits >> 31) & 0x7FFFFFFF)).astype(np.int64) << 32
+    keys |= np.arange(values.shape[1])
+    keys.sort(axis=1)
+    return keys & 0xFFFFFFFF
 
 
 def _candidate_grid(knots: np.ndarray, counts: np.ndarray, n_pt: int):
@@ -558,23 +591,26 @@ def _candidate_grid(knots: np.ndarray, counts: np.ndarray, n_pt: int):
     attrs = knots.shape[0]
     values = knots.reshape(attrs, -1)
     weights = np.repeat(counts.astype(np.float64), knots.shape[-1])
-    order = np.argsort(values, axis=1, kind="stable")
-    values = np.take_along_axis(values, order, axis=1)
+    order = _stable_order(values)
+    # gathers from the flat rows, where row a starts at start[a]
+    start = np.arange(0, values.size, values.shape[1])[:, None]
+    values = values.reshape(-1)[start + order].astype(np.float64)
     weights = weights[order]
     cum = np.cumsum(weights, axis=1)
+    # each row ascends, as count_at_or_below needs: while the counts sum
+    # below 2^53, cum holds exact integers and cum - weights / 2 rises
     positions = (cum - weights / 2.0) / cum[:, -1:]
     probes = np.arange(1, n_pt + 1, dtype=np.float64) / (n_pt + 1)
 
     # np.interp: j is the last position <= the probe; probes below the
     # first position read the first value, at or past the last the last
     last = positions.shape[1] - 1
-    j = np.count_nonzero(positions[:, None, :] <= probes[:, None], axis=-1) - 1
+    j = count_at_or_below(positions[:, None, :], probes) - 1
     lo = np.clip(j, 0, max(last - 1, 0))
     hi = np.minimum(lo + 1, last)
-    x0 = np.take_along_axis(positions, lo, axis=1)
-    x1 = np.take_along_axis(positions, hi, axis=1)
-    y0 = np.take_along_axis(values, lo, axis=1)
-    y1 = np.take_along_axis(values, hi, axis=1)
+    lo, hi = start + lo, start + hi
+    x0, x1 = positions.reshape(-1)[lo], positions.reshape(-1)[hi]
+    y0, y1 = values.reshape(-1)[lo], values.reshape(-1)[hi]
     with np.errstate(divide="ignore", invalid="ignore"):
         slope = (y1 - y0) / (x1 - x0)
         reads = slope * (probes - x0) + y0
@@ -637,8 +673,13 @@ def split_gain(stats: LeafStats, attr: int, value: float) -> float:
     """Information gain in bits of splitting at value on one attribute.
 
     The left mass of class k is count_k times the class sketch's CDF read at
-    the threshold; entropies are computed from those masses.
+    the threshold; entropies are computed from those masses. An attribute
+    that is not an index below dims, or a NaN value, raises a ValueError
+    that names it.
     """
+    attr = _index(attr, stats.sketch_estimates.shape[1], "attribute")
+    if math.isnan(value):
+        raise ValueError(f"cannot split at value {float(value)}")
     seen, knots = _seen_knots(stats)
     values = np.array([[value]], dtype=np.float64)
     return float(_gain_grid(stats, seen, knots[[attr]], values)[0, 0])
@@ -649,8 +690,10 @@ def split_candidates(stats: LeafStats, attr: int, n_pt: int) -> np.ndarray:
 
     Pools every seen class's sketch knots, weighted by class count, into one
     merged quantile curve and reads it at n_pt evenly spaced probabilities.
-    Duplicates collapse, so fewer than n_pt values may come back.
+    Duplicates collapse, so fewer than n_pt values may come back. An
+    attribute that is not an index below dims raises a ValueError.
     """
+    attr = _index(attr, stats.sketch_estimates.shape[1], "attribute")
     seen, knots = _seen_knots(stats)
     cands, fresh = _candidate_grid(knots[[attr]], stats.class_counts[seen], n_pt)
     return cands[0][fresh[0]]
@@ -937,8 +980,10 @@ class Tree:
         not call it on a leaf that has seen fewer than two classes while
         the arena has room, since such an attempt changes nothing. The
         leaf's count of samples since the last attempt is left as it is:
-        absorbing the row that attempts has already wrapped it to 0.
+        absorbing the row that attempts has already wrapped it to 0. An
+        index outside [0, node_count) raises a ValueError.
         """
+        leaf_idx = _index(leaf_idx, self.node_count, "node")
         if self._nodes[leaf_idx][0]:
             raise ValueError(f"node {leaf_idx} is not a leaf")
         stats = LeafStats(self.params, self._pool, leaf_idx)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import streamtree.sketch as sketch_module
 from streamtree.sketch import (
     QuantileSketch,
     _signum_steps,
@@ -116,6 +117,15 @@ def test_cdf_right_continuous_on_ties():
 def test_cdf_requires_seeded():
     with pytest.raises(ValueError):
         QuantileSketch(3).cdf_estimate(1.0)
+
+
+def test_cdf_refuses_nan():
+    # a NaN used to count no knot at or below it and read the first target
+    sk = make_sketch_123()
+    with pytest.raises(ValueError, match="at value nan"):
+        sk.cdf_estimate(math.nan)
+    with pytest.raises(ValueError, match="at value nan"):
+        cdf_lookup(sk.estimates, sk.targets, np.float32("nan"))
 
 
 def test_cdf_inverts_estimate_at_knots():
@@ -256,3 +266,105 @@ def test_sketch_update_matches_the_masked_step_byte_for_byte():
         assert sk.estimates.tobytes() == want.tobytes()
         if i == len(zeros):
             assert np.signbit(want).all() and (want == 0.0).all()
+
+
+# ------------------------------------------------------- crossed-row sort
+
+
+def full_sort_signum_update(estimates, x, up, down):
+    """The arithmetic step, then a sort of every row: the reference for the sort rule."""
+    estimates -= (x < estimates) * down - (x > estimates) * up
+    estimates.sort(axis=-1)
+
+
+# the tie values, the f32 extremes, infinite knots and a subnormal of either sign
+SORT_VALUES = np.concatenate((
+    TIE_VALUES, np.float32([np.inf, -np.inf, 3.4e38, -3.4e38, -1e-45, 1e-45])
+))
+
+
+def crossing_block(rng, m, dims, nq):
+    """Knots a hundredth of a step apart around each observation, so every row crosses."""
+    centre = rng.normal(size=(m, dims, 1)).astype(np.float32)
+    knots = (centre + 1e-4 * np.arange(nq) - 1e-4 * (nq // 2)).astype(np.float32)
+    return knots, centre
+
+
+def partly_crossing_block(rng, m, dims, nq, crossing):
+    """Knots 1,000 apart, which no step of up to 1 reorders, but in the rows where crossing holds."""
+    far = (np.arange(nq) * 1e3 + rng.integers(-10**6, 10**6, (m, dims, 1))).astype(np.float32)
+    tight, centre = crossing_block(rng, m, dims, nq)
+    crossing = crossing[..., None]
+    return np.where(crossing, tight, far), np.where(crossing, centre, far[..., 7:8] + np.float32(500))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    m=st.integers(1, 24),
+    dims=st.sampled_from([1, 3, 54]),
+    kind=st.sampled_from(["mixed", "fresh", "signed-zeros", "crossing", "few-crossing"]),
+    lam=st.sampled_from([0.01, 0.5, 1e25]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_signum_update_sorts_like_a_full_sort_on_either_side_of_the_rule(m, dims, kind, lam, seed):
+    rng = np.random.default_rng(seed)
+    nq = 16
+    if kind == "crossing":
+        knots, x = crossing_block(rng, m, dims, nq)
+    elif kind == "few-crossing":
+        knots, x = partly_crossing_block(rng, m, dims, nq, rng.random((m, dims)) < 0.05)
+    else:
+        if kind == "mixed":
+            knots = np.sort(rng.choice(SORT_VALUES, size=(m, dims, nq)), axis=-1)
+        elif kind == "fresh":
+            # freshly seeded rows: every knot of a row at one value
+            knots = np.repeat(rng.choice(SORT_VALUES, size=(m, dims, 1)), nq, axis=-1)
+        else:
+            # rows of +-0.0 in any order, which a sort may leave or reorder
+            knots = rng.choice(TIE_VALUES[:2], size=(m, dims, nq))
+        own = np.take_along_axis(knots, rng.integers(0, nq, (m, dims, 1)), axis=-1)
+        x = np.where(rng.random((m, dims, 1)) < 0.5, own, rng.choice(SORT_VALUES[:-6], size=(m, dims, 1)))
+    up, down = _signum_steps(nq, lam)
+    want = knots.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        full_sort_signum_update(want, x, up, down)
+        masked = knots.copy()
+        masked_signum_update(masked, x, up, down)
+    assert masked.tobytes() == want.tobytes()
+
+    def full(a):
+        return np.ascontiguousarray(np.broadcast_to(a, knots.shape))
+
+    # 1: every call takes the crossed-row path; 10**9: every call sorts all rows
+    for rule in (1, sketch_module._SORT_ROWS, 10**9):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sketch_module, "_SORT_ROWS", rule)
+            for operands in ((x, up, down), (full(x), full(up), full(down))):
+                got = knots.copy()
+                with np.errstate(over="ignore", invalid="ignore"):
+                    signum_update(got, *operands)
+                assert got.tobytes() == want.tobytes()
+            # a strided block cannot be flattened in place, so it sorts every row
+            wide = np.zeros((2 * m, dims, nq), dtype=np.float32)
+            wide[::2] = knots
+            with np.errstate(over="ignore", invalid="ignore"):
+                signum_update(wide[::2], full(x), full(up), full(down))
+            assert wide[::2].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("crossing", [1, 2, 70, 71, 21 * 54])
+def test_wide_blocks_re_sort_their_crossed_rows(crossing):
+    # of 1,134 rows, up to 70 (one in 16) crossed rows are sorted one by one,
+    # and more by a sort of every row
+    rng = np.random.default_rng(3)
+    rows = np.arange(21 * 54).reshape(21, 54) < crossing
+    knots, x = partly_crossing_block(rng, 21, 54, 16, rows)
+    up, down = _signum_steps(16, 0.01)
+    stepped = knots - ((x < knots) * down - (x > knots) * up)
+    assert np.count_nonzero((np.diff(stepped, axis=-1) <= 0).any(axis=-1)) == crossing
+    want = knots.copy()
+    full_sort_signum_update(want, x, up, down)
+    got = knots.copy()
+    signum_update(got, x, up, down)
+    assert got.tobytes() == want.tobytes()
+    assert (np.diff(got, axis=-1) > 0).all()

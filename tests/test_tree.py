@@ -16,7 +16,7 @@ from hypothesis.extra.numpy import arrays
 from streamtree.datasets import CsvSchema, DatasetSpec, generate_clusters, load_csv
 from streamtree.harness import Bundle, process_bundle
 from streamtree.serialize import _records, deserialize, serialize
-from streamtree.sketch import QuantileSketch
+from streamtree.sketch import QuantileSketch, count_at_or_below
 from streamtree.tree import (
     Hyperparams,
     LeafStats,
@@ -24,6 +24,7 @@ from streamtree.tree import (
     Tree,
     _best_splits,
     _partition_gain,
+    _stable_order,
     hoeffding_bound,
     split_candidates,
     split_gain,
@@ -392,6 +393,27 @@ def test_attempt_split_requires_leaf():
         tree.attempt_split(0)
 
 
+def seven_of_eight_nodes():
+    """A tree of 7 nodes, 4 of them leaves, whose records hold 8 slots."""
+    tree = Tree(small_params(max_nodes=8))
+    for leaf in (0, 1, 2):
+        tree._split(leaf, 0, 0.0)
+    assert tree.node_count == 7 and len(tree._pool.array) == 8
+    return tree
+
+
+@pytest.mark.parametrize("index", [99, 7, -1, -8])
+def test_attempt_split_refuses_indices_outside_the_nodes(index):
+    # -1 used to alias the records' last slot: on this full arena it froze
+    # unused slot 7, and 99 raised an IndexError
+    tree = seven_of_eight_nodes()
+    array = tree._pool.array.copy()
+    with pytest.raises(ValueError, match=rf"node {index} is not an index in \[0, 7\)"):
+        tree.attempt_split(index)
+    assert tree._pool.array.tobytes() == array.tobytes()
+    assert tree.attempt_split(np.int64(3)) is None and tree.arena[3].stats.frozen
+
+
 def test_attempt_split_pure_leaf_returns_none():
     tree = Tree(small_params())
     for _ in range(10):
@@ -494,6 +516,38 @@ def test_split_gain_off_support_threshold_is_zero():
 def test_split_gain_requires_observations():
     with pytest.raises(ValueError):
         split_gain(LeafStats(small_params()), 0, 0.0)
+
+
+def dims_two_stats():
+    stats = LeafStats(small_params())
+    stats.absorb(0, np.array([0.1, 0.2], dtype=np.float32))
+    stats.absorb(1, np.array([0.5, 0.6], dtype=np.float32))
+    return stats
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda stats: split_gain(stats, 5, 0.3), "attribute 5 is not an index in [0, 2)"),
+    (lambda stats: split_gain(stats, -1, 0.3), "attribute -1 is not an index in [0, 2)"),
+    (lambda stats: split_gain(stats, True, 0.3), "attribute True is not an index in [0, 2)"),
+    (lambda stats: split_candidates(stats, 2, 10), "attribute 2 is not an index in [0, 2)"),
+    (lambda stats: stats.cdf(0, 7, 0.3), "attribute 7 is not an index in [0, 2)"),
+    (lambda stats: stats.cdf(9, 0, 0.3), "class 9 is not an index in [0, 2)"),
+    (lambda stats: stats.cdf(-1, 0, 0.3), "class -1 is not an index in [0, 2)"),
+    (lambda stats: stats.cdf(0, 0, math.nan), "cannot read a CDF at value nan"),
+    (lambda stats: split_gain(stats, 0, math.nan), "cannot split at value nan"),
+])
+def test_per_attribute_reads_refuse_what_is_not_an_index_or_a_number(call, message):
+    # at dims=2 these raised an IndexError, scored the last attribute (-1),
+    # or read the first target and a gain of 0.0 at NaN
+    with pytest.raises(ValueError) as caught:
+        call(dims_two_stats())
+    assert str(caught.value) == message
+
+
+def test_per_attribute_reads_take_numpy_indices():
+    stats = dims_two_stats()
+    assert split_gain(stats, np.int64(1), 0.3) == split_gain(stats, 1, 0.3)
+    assert stats.cdf(np.int32(1), np.uint8(1), 0.3) == stats.cdf(1, 1, 0.3)
 
 
 def test_split_gain_bounds_fuzz():
@@ -802,6 +856,63 @@ def test_identical_columns_split_on_first_at_first_best_candidate():
     tree.arena[0].stats = stats
     assert tree.attempt_split(0) == (0, 0.0)
     assert tree.arena[0].split_attr == 0 and tree.arena[0].split_value == 0.0
+
+
+# knots a snapshot or a long stream may hold: signed zeros, the f32 extremes,
+# infinities and subnormals of either sign
+KERNEL_VALUES = np.float32([
+    0.0, -0.0, 1.0, -1.0, 2.5, np.inf, -np.inf, 3.4e38, -3.4e38, 3.4028235e38,
+    1e-45, -1e-45, 1.2e-38, -1e-40, 7e-39,
+])
+
+
+def kernel_rows(rng, attrs, classes, nq):
+    """(attrs, classes, nq) sorted f32 knots; some classes repeat another's knots."""
+    values = np.concatenate((KERNEL_VALUES, rng.normal(size=8).astype(np.float32)))
+    knots = np.sort(rng.choice(values, size=(attrs, classes, nq)), axis=-1)
+    for c in range(1, classes):
+        if rng.random() < 0.3:
+            knots[:, c] = knots[:, int(rng.integers(0, c))]
+    return knots
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    attrs=st.integers(1, 6),
+    classes=st.integers(1, 8),
+    nq=st.sampled_from([1, 2, 5, 16]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_composite_key_order_is_the_stable_argsort(attrs, classes, nq, seed):
+    values = kernel_rows(np.random.default_rng(seed), attrs, classes, nq).reshape(attrs, -1)
+    want = np.argsort(values, axis=1, kind="stable")
+    assert np.array_equal(_stable_order(values), want)
+    # the order the kernel took before, over the knots as f64
+    assert np.array_equal(want, np.argsort(values.astype(np.float64), axis=1, kind="stable"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    curves=st.integers(1, 12),
+    nq=st.sampled_from([1, 2, 5, 16]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_first_knot_above_counts_equal_the_comparison_counts(curves, nq, seed):
+    rng = np.random.default_rng(seed)
+    knots = kernel_rows(rng, curves, 1, nq)[:, 0]
+    f32 = np.concatenate((KERNEL_VALUES, knots.ravel())).astype(np.float64)
+    # thresholds between f32 values, past the f32 range, and NaN
+    between = np.concatenate((
+        np.nextafter(f32, np.inf), np.nextafter(f32, -np.inf),
+        [1 / 3, -1 / 3, 1e39, -1e39, 5e-46, -5e-46, 1e-300, math.nan],
+    ))
+    for thresholds in (f32, between):
+        values = rng.choice(thresholds, size=(curves, 7))
+        want = np.count_nonzero(knots[:, None, :] <= values[..., None], axis=-1)
+        assert np.array_equal(count_at_or_below(knots[:, None, :], values), want)
+        # f64 rows, as the merged curves' positions are
+        rows = knots.astype(np.float64)
+        assert np.array_equal(count_at_or_below(rows[:, None, :], values), want)
 
 
 @pytest.mark.parametrize("dims,classes,samples,spread,params,digest", [

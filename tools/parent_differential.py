@@ -3,7 +3,7 @@
     python tools/parent_differential.py REF
 
 Extracts the files of commit REF (for example HEAD~1) with `git archive`
-into a temporary directory, then trains the same 146 trees with the
+into a temporary directory, then trains the same 148 trees with the
 streamtree package under src/ of this checkout and with REF's, one
 process per side, and compares them:
 
@@ -11,6 +11,9 @@ process per side, and compares them:
 - the 100 fuzzed mixed-flag streams of criterion 3;
 - criterion 8's drifting stream at max_nodes 1, 3, 7 and 100;
 - a Covertype-shaped D=54 K=7 stream at max_nodes 2047 and 15;
+- a D=54 K=7 stream of tight clusters (spread 0.04) at max_nodes 2047
+  and 15, on whose wide waves most knot rows cross at a step, so that
+  signum_update re-sorts many rows on either side of its row-count rule;
 - frozen-leaf trees at max_nodes 3 and 7;
 - train masks of share 0.1 and 0.9 at max_nodes 2047 and 7;
 - acceptance seeds 0 and 1 at n_min 1 and 7, where segments are short;
@@ -52,10 +55,10 @@ and the batched predict() must agree on probe rows: the stream's rows,
 random rows, and rows made of the thresholds and of +-0.0. A side without
 Tree.predict answers those with per-row infer(). The script prints the
 tree, node and frozen-leaf counts and every mismatch, and exits 1 on any.
-Of the 155 streams it compares, 146 feed trees and nine are the
+Of the 157 streams it compares, 148 feed trees and nine are the
 generator streams above.
 The corpora are those of tests/test_learn.py and tests/test_acceptance.py,
-but for the resumed trees and the tied stream.
+but for the resumed trees, the tied stream and the tight D=54 stream.
 It takes some minutes per side.
 """
 
@@ -80,7 +83,7 @@ GENERATOR_BLOCK_VALUES = 2**17
 
 
 def corpus(st, np):
-    """(name, params, stream, origin) of the 146 trees.
+    """(name, params, stream, origin) of the 148 trees.
 
     origin is None for a tree that starts empty, else the snapshot bytes
     of the tree that every feeding of the stream starts from.
@@ -127,6 +130,11 @@ def corpus(st, np):
     wide = st.generate_clusters(D(clusters=7, dims=54, samples=6_000, cluster_spread=0.5, seed=1))
     for nodes in (2047, 15):
         yield f"d54k7-{nodes}", H(dims=54, classes=7, tau=0.2, n_min=100, max_nodes=nodes), wide, None
+    # clusters about as wide as the sketch step, so most knot rows cross at a step
+    tight = st.generate_clusters(D(clusters=7, dims=54, samples=6_000, cluster_spread=0.04, seed=2))
+    for nodes in (2047, 15):
+        params = H(dims=54, classes=7, tau=0.2, n_min=100, max_nodes=nodes)
+        yield f"d54k7-tight-{nodes}", params, tight, None
 
     clusters = st.generate_clusters(D(clusters=5, dims=3, samples=8_000, cluster_spread=0.3, seed=7))
     for nodes in (3, 7):
