@@ -2,10 +2,11 @@
 
 Bundles model the device calling convention: an ordered batch of flagged
 samples handed to one kernel invocation. A bundle, like a prequential
-stream, is checked whole and then handed to Tree.learn, which routes,
-answers and absorbs every sample between two split attempts at once. Its
-answers and the tree it leaves are exactly those of the same sequence of
-single train() and infer() calls.
+stream, is checked whole and then handed to Tree._learn, the kernel
+behind Tree.learn, which routes, answers and absorbs every sample
+between two split attempts at once. Its answers and the tree it leaves
+are exactly those of the same sequence of single train() and infer()
+calls.
 """
 
 from __future__ import annotations
@@ -69,9 +70,10 @@ def _rows(tree: Tree, samples: Sequence[Sample]):
 
     Checks every sample first and raises a ValueError that names the first
     bad one: features that are not dims numbers, a train flag that is not
-    a bool, or a train label that is not an integer class index. learn()
-    then checks that the features are finite. Labels of samples not flagged
-    for training are ignored.
+    a bool, or a train label that is not an integer class index. The rows
+    go to Tree._learn, which is learn() without the shape and dtype checks
+    made here, and which checks that the features are finite and the
+    labels class indices. Labels of samples not flagged for training are 0.
     """
     dims, classes = tree.params.dims, tree.params.classes
     flags = [s.train for s in samples]
@@ -114,7 +116,7 @@ def process_bundle(tree: Tree, bundle: Bundle) -> list[int]:
     """
     if not bundle.samples:
         return []
-    return tree.learn(*_rows(tree, bundle.samples)).tolist()
+    return tree._learn(*_rows(tree, bundle.samples)).tolist()
 
 
 @dataclass
@@ -168,7 +170,7 @@ def run_prequential(
     if not train.all():
         i = int(np.argmin(train))
         raise ValueError(f"sample {i}: prequential streams must be fully train-flagged")
-    hits = tree.learn(X, labels, train) == labels
+    hits = tree._learn(X, labels, train) == labels
     train_time = time.perf_counter() - start
     total = len(stream)
     starts = range(0, total, window)

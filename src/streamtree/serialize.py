@@ -141,13 +141,18 @@ def deserialize(buffer: bytes | bytearray | memoryview) -> Tree:
     if len(buffer) < _HEADER.size:
         raise ValueError("buffer too short for header")
     header = bytes(buffer[: _HEADER.size])
-    magic, version, *_, node_count, root, _, _, _ = _HEADER.unpack(header)
+    magic, version, max_nodes, dims, classes, n_quantiles, *_, node_count, root, _, _, _ = (
+        _HEADER.unpack(header))
     if magic != MAGIC:
         raise ValueError(f"bad magic {magic!r}")
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported format version {version}")
+    # Hyperparams allocates n_quantiles targets, so a damaged header must not
+    # reach it unless the buffer could hold its records' 4-byte knots
+    knots = max_nodes * classes * dims * n_quantiles
+    if 4 * knots > len(buffer):
+        raise ValueError(f"buffer is {len(buffer)} bytes, too short for the header's {knots} knots")
     params, dtype, keep, row, topology, counts = _load_plan(header)
-    max_nodes, dims = params.max_nodes, params.dims
     expected = _HEADER.size + max_nodes * dtype.itemsize
     if len(buffer) != expected:
         raise ValueError(f"buffer is {len(buffer)} bytes, expected {expected}")

@@ -352,7 +352,9 @@ class LeafStats:
     Reading class_counts marks the leaf's cached answer unknown, since the
     caller may write through the view; a view kept across an infer() call
     and written after it is not seen by later infer() calls, so read
-    class_counts again before each write.
+    class_counts again before each write. The read-only queries, cdf(),
+    total and the split attempt, read the counts without that mark, so
+    the cached answer outlives them.
     """
 
     __slots__ = ("_pool", "_slot")
@@ -364,6 +366,11 @@ class LeafStats:
     @property
     def class_counts(self) -> np.ndarray:
         self._pool.answer[self._slot] = -1
+        return self._pool.counts[self._slot]
+
+    @property
+    def _counts(self) -> np.ndarray:
+        # class_counts for reading only: the cached answer stays
         return self._pool.counts[self._slot]
 
     @property
@@ -395,7 +402,7 @@ class LeafStats:
 
     @property
     def total(self) -> int:
-        return int(self.class_counts.sum())
+        return int(self._counts.sum())
 
     def majority(self) -> int:
         """Most frequent class; ties and the empty leaf resolve to the lowest index."""
@@ -413,7 +420,7 @@ class LeafStats:
         """
         classes, dims = self._pool.sketch.shape[1:3]
         label, attr = _index(label, classes, "class"), _index(attr, dims, "attribute")
-        if self.class_counts[label] == 0:
+        if self._counts[label] == 0:
             raise ValueError(f"class {label} has no observations at this leaf")
         return cdf_lookup(self.sketch_estimates[label, attr], self._targets, value)
 
@@ -437,7 +444,7 @@ class Node:
         leaf = self.stats
         if leaf is None:
             raise ValueError(f"node {self._slot} is not a leaf")
-        leaf.class_counts[:] = stats.class_counts
+        leaf.class_counts[:] = stats._counts
         leaf.sketch_estimates[:] = stats.sketch_estimates
         leaf.since_last_attempt = stats.since_last_attempt
         leaf.frozen = stats.frozen
@@ -548,16 +555,17 @@ def _partition_gain(parent, n, left, n_left, right, n_right) -> np.ndarray:
     return np.where(gain > 0.0, gain, 0.0)
 
 
-def _seen_knots(stats: LeafStats) -> tuple[np.ndarray, np.ndarray]:
-    """Mask of the classes the leaf has seen, and their knots per attribute.
+def _seen_knots(counts: np.ndarray, sketch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mask of the classes a leaf has seen, and their knots per attribute.
 
-    The knots are f32, C-contiguous, with shape (dims, seen classes,
+    counts and sketch are the leaf's class counts and sketch grid. The
+    knots are f32, C-contiguous, with shape (dims, seen classes,
     n_quantiles).
     """
-    seen = stats.class_counts > 0
+    seen = counts > 0
     if not seen.any():
         raise ValueError("leaf has absorbed no training samples")
-    return seen, np.ascontiguousarray(stats.sketch_estimates[seen].transpose(1, 0, 2))
+    return seen, np.ascontiguousarray(sketch[seen].transpose(1, 0, 2))
 
 
 def _stable_order(values: np.ndarray) -> np.ndarray:
@@ -627,23 +635,28 @@ def _candidate_grid(knots: np.ndarray, counts: np.ndarray, n_pt: int):
     return cands, fresh
 
 
-def _gain_grid(stats: LeafStats, seen, knots, values) -> np.ndarray:
+def _gain_grid(counts: np.ndarray, targets: np.ndarray, seen, knots, values) -> np.ndarray:
     """Information gain of splitting at values[a, p] on knots' attribute a.
 
-    seen and knots come from _seen_knots (knots may hold a subset of the
-    attributes); values is f64 of shape (attrs, thresholds). The left mass
-    of class k is count_k times the class sketch's CDF read at the
-    threshold.
+    counts are the leaf's class counts and targets its sketches' quantile
+    targets; seen and knots come from _seen_knots (knots may hold a subset
+    of the attributes); values is f64 of shape (attrs, thresholds). The
+    left mass of class k is count_k times the class sketch's CDF read at
+    the threshold.
     """
-    counts = stats.class_counts.astype(np.float64)
+    counts = counts.astype(np.float64)
     seen_counts = counts[seen]
     n = counts.sum()
-    cdf = cdf_grid(knots[:, None], stats._targets, values[:, :, None])
+    cdf = cdf_grid(knots[:, None], targets, values[:, :, None])
     left_seen = seen_counts * cdf
     right_seen = seen_counts - left_seen
-    left = np.zeros(left_seen.shape[:-1] + counts.shape)
-    left[..., seen] = left_seen
-    right = counts - left
+    if len(seen_counts) == len(counts):
+        # every class seen: the all-class masses are the seen ones, bit for bit
+        left, right = left_seen, right_seen
+    else:
+        left = np.zeros(left_seen.shape[:-1] + counts.shape)
+        left[..., seen] = left_seen
+        right = counts - left
     # a seen class's CDF lies in [t_first, t_last], inside (0, 1), so both of
     # its side masses are positive: the seen classes are exactly the classes
     # with mass on either side, and no side is ever empty
@@ -652,17 +665,19 @@ def _gain_grid(stats: LeafStats, seen, knots, values) -> np.ndarray:
     )
 
 
-def _best_splits(stats: LeafStats, n_pt: int) -> tuple[np.ndarray, np.ndarray]:
+def _best_splits(counts: np.ndarray, sketch: np.ndarray, targets: np.ndarray,
+                 n_pt: int) -> tuple[np.ndarray, np.ndarray]:
     """Best gain and its threshold per attribute, over all candidates at once.
 
-    Within an attribute the first of the candidates with the largest gain
-    wins, and a gain must exceed 0 to count; an attribute with no positive
-    gain reports gain 0 at threshold 0.
+    counts, sketch and targets are a leaf's class counts, sketch grid and
+    quantile targets. Within an attribute the first of the candidates with
+    the largest gain wins, and a gain must exceed 0 to count; an attribute
+    with no positive gain reports gain 0 at threshold 0.
     """
-    seen, knots = _seen_knots(stats)
-    cands, fresh = _candidate_grid(knots, stats.class_counts[seen], n_pt)
+    seen, knots = _seen_knots(counts, sketch)
+    cands, fresh = _candidate_grid(knots, counts[seen], n_pt)
     values = cands.astype(np.float64)
-    gains = np.where(fresh, _gain_grid(stats, seen, knots, values), 0.0)
+    gains = np.where(fresh, _gain_grid(counts, targets, seen, knots, values), 0.0)
     rows = np.arange(len(gains))
     first = np.argmax(gains, axis=1)
     best_gain = gains[rows, first]
@@ -680,9 +695,10 @@ def split_gain(stats: LeafStats, attr: int, value: float) -> float:
     attr = _index(attr, stats.sketch_estimates.shape[1], "attribute")
     if math.isnan(value):
         raise ValueError(f"cannot split at value {float(value)}")
-    seen, knots = _seen_knots(stats)
+    counts = stats._counts
+    seen, knots = _seen_knots(counts, stats.sketch_estimates)
     values = np.array([[value]], dtype=np.float64)
-    return float(_gain_grid(stats, seen, knots[[attr]], values)[0, 0])
+    return float(_gain_grid(counts, stats._targets, seen, knots[[attr]], values)[0, 0])
 
 
 def split_candidates(stats: LeafStats, attr: int, n_pt: int) -> np.ndarray:
@@ -694,8 +710,9 @@ def split_candidates(stats: LeafStats, attr: int, n_pt: int) -> np.ndarray:
     attribute that is not an index below dims raises a ValueError.
     """
     attr = _index(attr, stats.sketch_estimates.shape[1], "attribute")
-    seen, knots = _seen_knots(stats)
-    cands, fresh = _candidate_grid(knots[[attr]], stats.class_counts[seen], n_pt)
+    counts = stats._counts
+    seen, knots = _seen_knots(counts, stats.sketch_estimates)
+    cands, fresh = _candidate_grid(knots[[attr]], counts[seen], n_pt)
     return cands[0][fresh[0]]
 
 
@@ -705,11 +722,17 @@ class Tree:
     Its at most max_nodes nodes live in one record array in the snapshot
     layout (_Records), which tree.arena[i] views. One-row calls read two
     Python lists beside it: _nodes, a mirror of the kind and split fields
-    that _leaf() descends, and the records' answer list. Children follow
-    their parent, so the root is node 0. One writer at a time.
+    that _leaf() descends, and the records' answer list. Calls of many
+    rows descend _table, aligned arrays of the split fields and the
+    tree's depth (see _routing_table): the first such call after a split
+    or a load builds it from _nodes, and _split drops it, since every
+    split changes it. Children follow their parent, so the root is node
+    0. One writer at a time.
     """
 
     root = 0
+    # a fresh tree, and one deserialize() builds, starts without a table
+    _table: tuple[np.ndarray, np.ndarray, np.ndarray, int] | None = None
 
     def __init__(self, params: Hyperparams) -> None:
         self.params = params
@@ -748,15 +771,19 @@ class Tree:
             kind, attr, value, left, right = nodes[idx]
         return idx
 
-    def _check_rows(self, X) -> np.ndarray:
-        """Rows as an f32 (rows, dims) array; a ValueError names the first non-finite one."""
+    def _check_shape(self, X) -> np.ndarray:
+        """Rows as an f32 (rows, dims) array, or a ValueError that gives the shape."""
         X = _as_f32(X)
         if X.ndim != 2 or X.shape[1] != self.params.dims:
             raise ValueError(f"expected rows of {self.params.dims} features, got shape {X.shape}")
-        finite = np.isfinite(X).all(axis=1)
-        if not finite.all():
-            raise ValueError(f"sample {int(np.argmin(finite))}: features must be finite")
         return X
+
+    @staticmethod
+    def _check_finite(X: np.ndarray) -> None:
+        """Raise a ValueError that names the first row of X with a non-finite feature."""
+        if not np.isfinite(X).all():
+            finite = np.isfinite(X).all(axis=1)
+            raise ValueError(f"sample {int(np.argmin(finite))}: features must be finite")
 
     def sort_to_leaf(self, features) -> int:
         """Index of the leaf this feature vector routes to. No mutation."""
@@ -774,7 +801,9 @@ class Tree:
 
     def predict(self, X) -> np.ndarray:
         """infer() of every row of X, (rows, dims), routed in lockstep. No mutation."""
-        return self._pool.counts[self._route(self._check_rows(X))].argmax(axis=1)
+        X = self._check_shape(X)
+        self._check_finite(X)
+        return self._pool.counts[self._route(X)].argmax(axis=1)
 
     def train(self, sample: Sample) -> int:
         """Absorb one flagged training sample; returns the pre-update prediction.
@@ -810,23 +839,31 @@ class Tree:
         checked before the tree changes; a ValueError names the first bad
         sample.
         """
-        X = self._check_rows(X)
-        n, classes = len(X), self.params.classes
+        X = self._check_shape(X)
+        n = len(X)
         train = np.asarray(train_mask)
         if train.shape != (n,) or train.dtype != bool:
             raise ValueError(f"train_mask must be {n} bools, got {train.dtype} {train.shape}")
         labels = np.asarray(labels)
         if labels.shape != (n,) or labels.dtype.kind not in "iub":
             raise ValueError(f"labels must be {n} integers, got {labels.dtype} {labels.shape}")
-        labels = np.where(train, labels, 0)
+        return self._learn(X, np.where(train, labels, 0), train)
+
+    def _learn(self, X: np.ndarray, labels: np.ndarray, train: np.ndarray) -> np.ndarray:
+        """learn() on rows of checked shapes and dtypes, a block of at most _BLOCK_ROWS at a time.
+
+        X is f32 (rows, dims), train bools and labels integers, 0 on the
+        rows not flagged for training, as learn() and harness._rows make
+        them. The values are checked here, with learn()'s messages: every
+        feature must be finite and every label a class index.
+        """
+        self._check_finite(X)
+        classes = self.params.classes
         bad = (labels < 0) | (labels >= classes)
         if bad.any():
             i = int(np.argmax(bad))
             raise ValueError(f"sample {i}: label {labels[i]} is not a class index below {classes}")
-        return self._learn(X, labels.astype(np.intp), train)
-
-    def _learn(self, X: np.ndarray, labels: np.ndarray, train: np.ndarray) -> np.ndarray:
-        """learn() on checked rows, a block of at most _BLOCK_ROWS at a time."""
+        labels = labels.astype(np.intp, copy=False)
         out = np.empty(len(X), dtype=np.intp)
         for start in range(0, len(X), _BLOCK_ROWS):
             rows = slice(start, start + _BLOCK_ROWS)
@@ -883,27 +920,46 @@ class Tree:
     def _route(self, X: np.ndarray) -> np.ndarray:
         """Leaf index of every row, by lockstep descent from the root.
 
-        Each step moves every row one level down a child table, where a
-        leaf leads to itself, until no row moves: a few numpy calls per
-        level, whatever the row count. The split columns are copied out of
-        the records once per call, since gathers from their unaligned
-        fields cost more. A lone row, such as a one-sample bundle's, descends
-        on its own, which makes the same comparisons without those calls.
+        Each step moves every row one level down the routing table, where
+        a leaf leads to itself, with flat gathers from X: a few numpy calls
+        per level, whatever the row count. The table is kept on the tree
+        as _table: built here on the first call after a split or a load
+        (see _routing_table), reused until _split drops it. Every row has
+        reached its leaf after the table's depth of steps, and stays there,
+        so the descent takes exactly that many and tests nothing in
+        between. A lone row, such as a one-sample bundle's, descends on its
+        own, which makes the same comparisons without those calls.
         """
         if len(X) == 1:
             return np.array([self._leaf(X[0])], dtype=np.intp)
-        records, idx = self._pool.array[: self.node_count], np.arange(self.node_count)
-        attr = records["split_attr"].astype(np.intp)
-        value = records["split_value"].astype(np.float32)
-        # a leaf's children are zero and an internal node's lie above it
-        child = np.array((np.maximum(records["left"], idx), np.maximum(records["right"], idx))).T
-        rows = np.arange(len(X))
+        if self._table is None:
+            self._table = self._routing_table()
+        attr, value, child, depth = self._table
+        flat, starts = X.ravel(), np.arange(0, X.size, X.shape[1])
         leaf = np.zeros(len(X), dtype=np.intp)
-        while True:
-            step = child[leaf, (X[rows, attr[leaf]] > value[leaf]).view(np.int8)]
-            if (step == leaf).all():
-                return leaf
-            leaf = step
+        for _ in range(depth):
+            leaf = child[2 * leaf + (flat[starts + attr[leaf]] > value[leaf])]
+        return leaf
+
+    def _routing_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        """_route's aligned split attributes and thresholds, children and depth.
+
+        child[2 * i] and child[2 * i + 1] are node i's left and right
+        child, or i itself on a leaf; the depth is the most edges from the
+        root to a leaf. Children follow their parent, so one pass over
+        _nodes in order sets every node's depth.
+        """
+        nodes = self._nodes
+        depth, child = [0] * len(nodes), []
+        for i, (kind, _, _, left, right) in enumerate(nodes):
+            if kind:
+                depth[left] = depth[right] = depth[i] + 1
+                child += (left, right)
+            else:
+                child += (i, i)
+        _, attr, value, _, _ = zip(*nodes)
+        return (np.array(attr, dtype=np.intp), np.array(value, dtype=np.float32),
+                np.array(child, dtype=np.intp), max(depth))
 
     def _attempt_rows(self, leaf: np.ndarray, labels: np.ndarray, train: np.ndarray) -> np.ndarray:
         """Mask of the rows after which their leaf makes a split attempt that can act.
@@ -917,9 +973,20 @@ class Tree:
         counts or in its train rows up to the attempt's. The mask holds
         while the leaf stays a non-frozen leaf and the arena keeps room;
         the caller updates it when an attempt splits or freezes the leaf.
+
+        A leaf with c train rows attempts at all only when min(s, n_min -
+        1) + c reaches n_min, so when no leaf's count does, one bincount
+        shows it and the mask is all False, without grouping the rows.
+        That holds for most calls of a few train rows per leaf, such as
+        93.7% of the serve-bundles benchmark's 128-row bundles, and for
+        few training calls (3 of 41 on synth-d3k5, 1 of 21 on
+        covtype-d54k7), which take the full path.
         """
         pool, n_min = self._pool, self.params.n_min
         rows = (train & ~pool.frozen[leaf]).nonzero()[0]
+        c = np.bincount(leaf[rows])
+        if not (np.minimum(pool.since[: len(c)], n_min - 1) + c >= n_min).any():
+            return np.zeros(len(leaf), dtype=bool)
         # the train rows grouped by leaf, each leaf's in order
         order, grouped, head = _grouped(leaf[rows])
         rows = rows[order]
@@ -992,11 +1059,12 @@ class Tree:
         if self.node_count + 2 > self.params.max_nodes:
             stats.frozen = True
             return None
-        if int(np.count_nonzero(stats.class_counts)) < 2:
+        if int(np.count_nonzero(stats._counts)) < 2:
             return None
 
         params = self.params
-        best_gain, best_value = _best_splits(stats, params.n_pt)
+        best_gain, best_value = _best_splits(stats._counts, stats.sketch_estimates, stats._targets,
+                                             params.n_pt)
         first = int(np.argmax(best_gain))
         g_first = best_gain[first]
         g_second = float(np.delete(best_gain, first).max()) if params.dims > 1 else 0.0
@@ -1019,6 +1087,7 @@ class Tree:
         pool.answer[leaf_idx] = -1
         self._nodes[leaf_idx] = (_KIND_INTERNAL, attr, value, left, right)
         self._nodes += (_LEAF, _LEAF)
+        self._table = None
 
     def leaf_indices(self) -> list[int]:
         return [i for i, node in enumerate(self._nodes) if not node[0]]

@@ -167,7 +167,9 @@ class ReferenceTree:
             return None
 
         params = self.params
-        best_gain, best_value = _best_splits(stats, params.n_pt)
+        best_gain, best_value = _best_splits(
+            stats.class_counts, stats.sketch_estimates, stats._targets, params.n_pt
+        )
         first = int(np.argmax(best_gain))
         g_first = best_gain[first]
         if params.dims > 1:
@@ -502,6 +504,41 @@ def test_counter_past_n_min_attempts_at_the_next_train_row(n_min, stored):
     assert serialize(lone) == serialize(bundled) == serialize(whole) == snapshot
 
 
+@pytest.mark.parametrize("max_nodes", [15, 2047])
+@pytest.mark.parametrize("below", [1, 2])
+@pytest.mark.parametrize("n_min", [2, 7, 50])
+def test_attempts_one_and_two_rows_short_of_n_min(n_min, below, max_nodes):
+    # every non-frozen leaf's count is set to n_min - below, then 8-row
+    # bundles of one or two train rows each bring a leaf 1 or 2 rows: a
+    # leaf attempts when its count plus its rows reaches n_min exactly,
+    # and not a row before. At tau 1 an attempt at a two-class leaf splits;
+    # once 15 nodes fill the arena, every attempt freezes its leaf
+    params = Hyperparams(dims=3, classes=5, tau=1.0, n_min=n_min, max_nodes=max_nodes)
+    stream = generate_clusters(DatasetSpec(clusters=5, dims=3, samples=900,
+                                           cluster_spread=0.3, center_box=2.0, seed=4))
+    ref, tree = ReferenceTree(params), Tree(params)
+    for s in stream[:100]:
+        ref.train(s)
+        tree.train(s)
+    before = ref.node_count, frozen_leaves(ref)
+    for t in (ref, tree):
+        for node in t.arena:
+            if node.stats is not None and not node.stats.frozen:
+                node.stats.since_last_attempt = n_min - below
+    rng = np.random.default_rng(n_min + below)
+    rest = [Sample(s.features, s.label, False) for s in stream[100:]]
+    for start in range(0, len(rest), 8):
+        for i in start + rng.choice(8, size=int(rng.integers(1, 3)), replace=False):
+            rest[i].train = True
+    want = [ref.train(s) if s.train else ref.infer(s.features) for s in rest]
+    got = []
+    for start in range(0, len(rest), 8):
+        got += process_bundle(tree, Bundle(rest[start : start + 8], 8))
+    assert got == want
+    assert serialize(tree) == reference_snapshot(ref)
+    assert (ref.node_count, frozen_leaves(ref)) != before
+
+
 # ----------------------------------------------------------------- waves
 
 
@@ -632,6 +669,27 @@ def test_lockstep_routing_matches_per_row_descent_on_a_large_tree():
         infer_only = routed.learn(X, np.zeros(len(X), dtype=np.intp), np.zeros(len(X), dtype=bool))
         assert infer_only.tolist() == [tree.infer(x) for x in X]
         assert infer_only.tolist() == [routed.infer(x) for x in X]
+
+    # the routing table follows every split: replay the first splits on a
+    # fresh tree and route between them through _route, predict and learn
+    # in turn. Each split's children answer 1 and 2, and its parent, whose
+    # counts the split zeroes, 0, so a table kept across a split, or a
+    # descent that stops a level short of the depth, answers 0
+    grown, X = Tree(tree.params), X[:200]
+    infer_only = np.zeros(len(X), dtype=bool)
+    splits = sorted((n.left, i) for i, n in enumerate(tree.arena) if n.stats is None)
+    for k, (_, i) in enumerate(splits[:90]):
+        node = tree.arena[i]
+        grown._split(i, node.split_attr, node.split_value)
+        grown.arena[node.left].stats.class_counts[1] = 1
+        grown.arena[node.right].stats.class_counts[2] = 1
+        if k % 3 == 0:
+            assert grown._route(X).tolist() == [grown.sort_to_leaf(x) for x in X]
+        elif k % 3 == 1:
+            assert grown.predict(X).tolist() == [grown.infer(x) for x in X]
+        else:
+            got = grown.learn(X, np.zeros(len(X), dtype=np.intp), infer_only)
+            assert got.tolist() == [grown.infer(x) for x in X]
 
 
 def test_predict_matches_per_row_infer_on_a_large_tree():

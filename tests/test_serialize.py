@@ -149,6 +149,14 @@ def test_deserialize_rejects_corruption():
     with pytest.raises(ValueError):
         deserialize(bytes(bad_count))
 
+    # n_quantiles beyond what the buffer could hold is refused before
+    # Hyperparams builds that many quantile targets
+    for n_quantiles in (2**31 + 5, 2**32 - 1):
+        huge = bytearray(buf)
+        huge[18:22] = n_quantiles.to_bytes(4, "little")
+        with pytest.raises(ValueError, match="too short for the header's"):
+            deserialize(bytes(huge))
+
     # delta outside (0, 1)
     bad_delta = bytearray(buf)
     bad_delta[38:42] = np.float32(2.0).tobytes()

@@ -314,6 +314,26 @@ def test_cached_answers_follow_every_writer(data):
         assert_answers_current(tree, probes)
 
 
+def test_read_only_queries_keep_the_cached_answer():
+    # two overlapping classes: the leaf has a split to weigh, but 40
+    # samples leave the Hoeffding bound far above any gain, so the
+    # attempt is rejected
+    tree = Tree(small_params(classes=3, n_min=1_000))
+    rng = np.random.default_rng(0)
+    for i in range(40):
+        tree.train(Sample(rng.normal(size=2), i % 3 % 2))
+    answer = tree.infer(np.zeros(2))
+    stats = tree.arena[0].stats
+    assert stats.cdf(1, 0, 0.5) > 0.0
+    assert stats.total == 40
+    assert tree.attempt_split(0) is None and tree.node_count == 1
+    assert tree._pool.answer[0] == answer
+    # a writer's read still drops it
+    stats.class_counts[2] += 30
+    assert tree._pool.answer[0] == -1
+    assert tree.infer(np.zeros(2)) == 2
+
+
 # ---------------------------------------------------------------- training
 
 
@@ -730,7 +750,7 @@ def scalar_best_splits(stats, n_pt):
 
 
 def assert_kernel_matches_scalar_loop(stats, n_pt):
-    gain, value = _best_splits(stats, n_pt)
+    gain, value = _best_splits(stats.class_counts, stats.sketch_estimates, stats._targets, n_pt)
     want_gain, want_value = scalar_best_splits(stats, n_pt)
     assert np.array_equal(gain, want_gain), (gain, want_gain)
     assert np.array_equal(value, want_value), (value, want_value)

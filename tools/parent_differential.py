@@ -45,8 +45,11 @@ snapshot. A stream that differs means the generators or the start trees
 differ: the script names those corpora and compares answers only on the
 others, so a changed generator does not read as a wall of answer
 mismatches. Each stream is fed through process_bundle in chunks of 1,
-37, 1,000 and 5,000 rows and as single train()/infer() calls; every
-feeding must give the other side's answers and serialize() sha256. In
+37, 128, 1,000 and 5,000 rows and as single train()/infer() calls; every
+feeding must give the other side's answers and serialize() sha256. 128
+rows is the serve-bundles benchmark's bundle size, at which about half
+of the corpus's kernel calls take the split-attempt check's early exit
+(see Tree._attempt_rows). In
 the 1,000-row feeding, per-row infer() also answers each chunk's rows on
 the tree the earlier chunks left, before the chunk goes in, so an answer
 that a later chunk should have changed shows as a mismatch. On every final tree, and
@@ -73,7 +76,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-CHUNKS = (1, 37, 1_000, 5_000)
+CHUNKS = (1, 37, 128, 1_000, 5_000)
 # the feeding whose chunks per-row infer() answers before they go in
 BETWEEN_CHUNK = 1_000
 # the rows a resumed tree is trained on before its counters are set
