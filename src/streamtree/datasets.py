@@ -216,7 +216,7 @@ def write_samples_csv(samples: Sequence[Sample], path, header: bool = True) -> N
     """
     if not samples:
         raise ValueError("nothing to write")
-    _name_odd_row(samples)
+    _name_odd_row(s.features for s in samples)
     for i, s in enumerate(samples):
         if not isinstance(s.label, (int, np.integer)):
             raise ValueError(f"sample {i}: label {s.label!r} is not an integer")

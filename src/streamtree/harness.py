@@ -18,7 +18,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .serialize import model_bytes
-from .tree import Hyperparams, Sample, Tree, _as_f32, _name_odd_row, _sample_fault
+from .tree import Hyperparams, Sample, Tree, _name_odd_row
 
 __all__ = [
     "Bundle",
@@ -51,7 +51,7 @@ class Bundle:
         except TypeError:  # a scalar has no len()
             counts = None
         if counts is None or len(counts) > 1:
-            _name_odd_row(self.samples)
+            _name_odd_row(s.features for s in self.samples)
 
 
 def split_into_bundles(samples: Sequence[Sample], capacity: int) -> Iterator[Bundle]:
@@ -65,46 +65,6 @@ def split_into_bundles(samples: Sequence[Sample], capacity: int) -> Iterator[Bun
             for start in range(0, len(samples), capacity))
 
 
-def _rows(tree: Tree, samples: Sequence[Sample]):
-    """The samples as learn() rows: features, labels and train flags.
-
-    Checks every sample first and raises a ValueError that names the first
-    bad one: features that are not dims numbers, a train flag that is not
-    a bool, or a train label that is not an integer class index. The rows
-    go to Tree._learn, which is learn() without the shape and dtype checks
-    made here, and which checks that the features are finite and the
-    labels class indices. Labels of samples not flagged for training are 0.
-    """
-    dims, classes = tree.params.dims, tree.params.classes
-    flags = [s.train for s in samples]
-    try:
-        X = _as_f32(np.array([s.features for s in samples]))
-        labels = np.array([s.label if f else 0 for s, f in zip(samples, flags)])
-        ok = X.shape == (len(samples), dims) and labels.dtype.kind in "iub"
-    except (TypeError, ValueError):
-        ok = False
-    # per flag type, not per flag: numpy 2 allows subclasses of np.bool_
-    if ok and all(issubclass(t, (bool, np.bool_)) for t in set(map(type, flags))):
-        return X, labels, np.array(flags, dtype=bool)
-
-    X = np.empty((len(samples), dims), dtype=np.float32)
-    labels = np.zeros(len(samples), dtype=np.int64)
-    for i, s in enumerate(samples):
-        try:
-            x = _as_f32(s.features)
-        except (TypeError, ValueError):
-            raise ValueError(f"sample {i}: features are not numbers") from None
-        if x.shape != (dims,):
-            raise ValueError(f"sample {i}: expected {dims} features, got shape {x.shape}")
-        X[i] = x
-        fault = _sample_fault(s, classes)
-        if fault:
-            raise ValueError(f"sample {i}: {fault}")
-        if s.train:
-            labels[i] = s.label
-    return X, labels, np.array(flags, dtype=bool)
-
-
 def process_bundle(tree: Tree, bundle: Bundle) -> list[int]:
     """Run one infer-then-train pass over a bundle.
 
@@ -116,7 +76,7 @@ def process_bundle(tree: Tree, bundle: Bundle) -> list[int]:
     """
     if not bundle.samples:
         return []
-    return tree._learn(*_rows(tree, bundle.samples)).tolist()
+    return tree._learn(*tree._sample_rows(bundle.samples)).tolist()
 
 
 @dataclass
@@ -166,7 +126,7 @@ def run_prequential(
         raise ValueError("window must be positive")
 
     start = time.perf_counter()
-    X, labels, train = _rows(tree, stream)
+    X, labels, train = tree._sample_rows(stream)
     if not train.all():
         i = int(np.argmin(train))
         raise ValueError(f"sample {i}: prequential streams must be fully train-flagged")

@@ -108,21 +108,6 @@ class Sample:
         self.train = train
 
 
-def _name_odd_row(samples: Sequence[Sample]) -> None:
-    """Raise a ValueError naming the first sample whose features are not one row like sample 0's."""
-    first = None
-    for i, s in enumerate(samples):
-        try:
-            shape = np.shape(s.features)
-        except ValueError:
-            raise ValueError(f"sample {i}: features are not numbers") from None
-        if first is None and len(shape) == 1:
-            first = shape
-        if shape != first:
-            expected = "one row of features" if first is None else f"{first[0]} features, as sample 0"
-            raise ValueError(f"sample {i}: expected {expected}, got shape {shape}")
-
-
 _KIND_LEAF, _KIND_INTERNAL = 0, 1
 # a leaf's (kind, split_attr, split_value, left, right)
 _LEAF = (_KIND_LEAF, 0, 0.0, 0, 0)
@@ -148,28 +133,55 @@ def _record_dtype(dims: int, classes: int, n_quantiles: int, live: bool = False)
 _F32 = np.dtype(np.float32)
 
 
-def _sample_fault(sample: Sample, classes: int) -> str | None:
-    """What makes a sample unusable for learning, or None.
-
-    The train flag must be a bool and a flagged sample's label an integer
-    class index; nothing is cast, so a flag of 1 and a label of 2.9 or "1"
-    are refused. The features are checked elsewhere.
-    """
-    if not isinstance(sample.train, (bool, np.bool_)):
-        return f"train flag {sample.train!r} is not a bool"
-    label = sample.label
-    integer = isinstance(label, (int, np.integer))
-    if sample.train and not (integer and 0 <= label < classes):
-        return f"label {int(label) if integer else repr(label)} is not a class index below {classes}"
-    return None
-
-
 def _as_f32(values) -> np.ndarray:
     """values as f32; one past the f32 range casts to inf, which callers reject, unwarned."""
     if type(values) is np.ndarray and values.dtype is _F32:
         return values
     with np.errstate(over="ignore"):
         return np.asarray(values, dtype=np.float32)
+
+
+def _as_row(features, dims: int | None, like: str = "") -> np.ndarray:
+    """features as one f32 row of dims numbers, of any length with dims None, or a ValueError.
+
+    The message names no sample; like follows the expected count in it.
+    """
+    try:
+        x = _as_f32(features)
+    except (TypeError, ValueError):
+        raise ValueError("features are not numbers") from None
+    if x.ndim != 1 or dims is not None and len(x) != dims:
+        expected = "one row of features" if dims is None else f"{dims} features{like}"
+        raise ValueError(f"expected {expected}, got shape {x.shape}")
+    return x
+
+
+def _name_odd_row(rows, dims: int | None = None) -> None:
+    """Raise a ValueError naming the first of rows that is not one row of dims numbers.
+
+    Without dims, row 0 must be one row, and every other row as long.
+    """
+    like = ", as sample 0" if dims is None else ""
+    for i, row in enumerate(rows):
+        try:
+            dims = len(_as_row(row, dims, like))
+        except ValueError as fault:
+            raise ValueError(f"sample {i}: {fault}") from None
+
+
+def _check_sample(sample: Sample, classes: int) -> None:
+    """Raise a ValueError if a sample's flag or label makes it unusable for learning.
+
+    The train flag must be a bool and a flagged sample's label an integer
+    class index; nothing is cast, so a flag of 1 and a label of 2.9 or "1"
+    are refused. The features are checked elsewhere.
+    """
+    if not isinstance(sample.train, (bool, np.bool_)):
+        raise ValueError(f"train flag {sample.train!r} is not a bool")
+    label = sample.label
+    integer = isinstance(label, (int, np.integer))
+    if sample.train and not (integer and 0 <= label < classes):
+        raise ValueError(f"label {int(label) if integer else repr(label)} is not a class index below {classes}")
 
 
 class _Records:
@@ -756,10 +768,9 @@ class Tree:
         Thresholds are f32 values too, so comparing the floats gives the f32
         comparison without indexing numpy scalars.
         """
-        if type(features) is not np.ndarray or features.dtype is not _F32:
-            features = _as_f32(features)
-        if features.shape != (self.params.dims,):
-            raise ValueError(f"expected {self.params.dims} features, got shape {features.shape}")
+        dims = self.params.dims
+        if type(features) is not np.ndarray or features.dtype is not _F32 or features.shape != (dims,):
+            features = _as_row(features, dims)
         values = features.tolist()
         if not math.isfinite(sum(values)):
             raise ValueError("features must be finite")
@@ -771,19 +782,70 @@ class Tree:
             kind, attr, value, left, right = nodes[idx]
         return idx
 
-    def _check_shape(self, X) -> np.ndarray:
-        """Rows as an f32 (rows, dims) array, or a ValueError that gives the shape."""
-        X = _as_f32(X)
-        if X.ndim != 2 or X.shape[1] != self.params.dims:
-            raise ValueError(f"expected rows of {self.params.dims} features, got shape {X.shape}")
-        return X
+    def _checked(self, X, labels=None, train=None):
+        """X as f32 rows checked for predict(), or with labels and a train mask, the rows learn() takes.
 
-    @staticmethod
-    def _check_finite(X: np.ndarray) -> None:
-        """Raise a ValueError that names the first row of X with a non-finite feature."""
+        X must be (rows, dims) and finite. Labels and the train mask, when
+        given, must be as many integers and bools, and every train row's
+        label a class index; the rows not flagged for training get label
+        0. The first fault found, in that order, raises a ValueError, which
+        names the sample once the shapes hold; nothing changes before.
+        """
+        dims = self.params.dims
+        X = _as_f32(X)
+        if X.ndim != 2 or X.shape[1] != dims:
+            raise ValueError(f"expected rows of {dims} features, got shape {X.shape}")
+        if train is not None:
+            n = len(X)
+            train = np.asarray(train)
+            if train.shape != (n,) or train.dtype != bool:
+                raise ValueError(f"train_mask must be {n} bools, got {train.dtype} {train.shape}")
+            labels = np.asarray(labels)
+            if labels.shape != (n,) or labels.dtype.kind not in "iub":
+                raise ValueError(f"labels must be {n} integers, got {labels.dtype} {labels.shape}")
+            labels = np.where(train, labels, 0)
         if not np.isfinite(X).all():
             finite = np.isfinite(X).all(axis=1)
             raise ValueError(f"sample {int(np.argmin(finite))}: features must be finite")
+        if train is None:
+            return X
+        classes = self.params.classes
+        bad = (labels < 0) | (labels >= classes)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"sample {i}: label {labels[i]} is not a class index below {classes}")
+        return X, labels.astype(np.intp, copy=False), train
+
+    def _sample_rows(self, samples: Sequence[Sample]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The samples as the rows learn() takes, checked: features, labels and train flags.
+
+        A ValueError names the first bad sample: features that are not dims
+        numbers, a train flag that is not a bool or a train label that is
+        not an integer class index, then features that are not finite. The
+        common case takes one array build before _checked(); any other
+        input is checked sample by sample first.
+        """
+        dims, classes = self.params.dims, self.params.classes
+        flags = [s.train for s in samples]
+        try:
+            X = _as_f32(np.array([s.features for s in samples]))
+            labels = np.array([s.label if f else 0 for s, f in zip(samples, flags)])
+            ok = X.shape == (len(samples), dims) and labels.dtype.kind in "iub"
+        except (TypeError, ValueError):
+            ok = False
+        # per flag type, not per flag: numpy 2 allows subclasses of np.bool_
+        if not (ok and all(issubclass(t, (bool, np.bool_)) for t in set(map(type, flags)))):
+            X = np.empty((len(samples), dims), dtype=np.float32)
+            labels = np.zeros(len(samples), dtype=np.int64)
+            for i, s in enumerate(samples):
+                try:
+                    X[i] = _as_row(s.features, dims)
+                    _check_sample(s, classes)
+                except ValueError as fault:
+                    raise ValueError(f"sample {i}: {fault}") from None
+                if s.train:
+                    labels[i] = s.label
+        return self._checked(X, labels, np.array(flags, dtype=bool))
 
     def sort_to_leaf(self, features) -> int:
         """Index of the leaf this feature vector routes to. No mutation."""
@@ -801,9 +863,7 @@ class Tree:
 
     def predict(self, X) -> np.ndarray:
         """infer() of every row of X, (rows, dims), routed in lockstep. No mutation."""
-        X = self._check_shape(X)
-        self._check_finite(X)
-        return self._pool.counts[self._route(X)].argmax(axis=1)
+        return self._pool.counts[self._route(self._checked(X))].argmax(axis=1)
 
     def train(self, sample: Sample) -> int:
         """Absorb one flagged training sample; returns the pre-update prediction.
@@ -815,9 +875,7 @@ class Tree:
         wraps its count to 0 (see _Records), which is where learn()
         attempts.
         """
-        fault = _sample_fault(sample, self.params.classes)
-        if fault:
-            raise ValueError(fault)
+        _check_sample(sample, self.params.classes)
         if not sample.train:
             raise ValueError("sample is not flagged for training")
         x = _as_f32(sample.features)
@@ -839,31 +897,10 @@ class Tree:
         checked before the tree changes; a ValueError names the first bad
         sample.
         """
-        X = self._check_shape(X)
-        n = len(X)
-        train = np.asarray(train_mask)
-        if train.shape != (n,) or train.dtype != bool:
-            raise ValueError(f"train_mask must be {n} bools, got {train.dtype} {train.shape}")
-        labels = np.asarray(labels)
-        if labels.shape != (n,) or labels.dtype.kind not in "iub":
-            raise ValueError(f"labels must be {n} integers, got {labels.dtype} {labels.shape}")
-        return self._learn(X, np.where(train, labels, 0), train)
+        return self._learn(*self._checked(X, labels, train_mask))
 
     def _learn(self, X: np.ndarray, labels: np.ndarray, train: np.ndarray) -> np.ndarray:
-        """learn() on rows of checked shapes and dtypes, a block of at most _BLOCK_ROWS at a time.
-
-        X is f32 (rows, dims), train bools and labels integers, 0 on the
-        rows not flagged for training, as learn() and harness._rows make
-        them. The values are checked here, with learn()'s messages: every
-        feature must be finite and every label a class index.
-        """
-        self._check_finite(X)
-        classes = self.params.classes
-        bad = (labels < 0) | (labels >= classes)
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise ValueError(f"sample {i}: label {labels[i]} is not a class index below {classes}")
-        labels = labels.astype(np.intp, copy=False)
+        """learn() on rows _checked() made, a block of at most _BLOCK_ROWS at a time."""
         out = np.empty(len(X), dtype=np.intp)
         for start in range(0, len(X), _BLOCK_ROWS):
             rows = slice(start, start + _BLOCK_ROWS)
