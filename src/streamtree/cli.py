@@ -13,11 +13,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .datasets import CsvSchema, DatasetSpec, generate_clusters, load_csv, write_clusters_csv
 from .harness import DEFAULT_NODE_SWEEP, PrequentialReport, mem_report, run_prequential
 from .serialize import deserialize, serialize
+from .sketch import _signum_steps
 from .tree import Hyperparams, Tree
 
 USAGE_ERROR = 1
@@ -45,7 +47,8 @@ def _checked(cast, test, rule: str):
 
 _POSITIVE = _checked(int, lambda v: v >= 1, "must be positive")
 _TWO_OR_MORE = _checked(int, lambda v: v >= 2, "must be at least 2")
-_POSITIVE_FLOAT = _checked(float, lambda v: v > 0.0, "must be positive")
+_FINITE = _checked(float, math.isfinite, "must be finite")
+_POSITIVE_FLOAT = _checked(_FINITE, lambda v: v > 0.0, "must be positive")
 
 
 def _int_list(item):
@@ -84,8 +87,9 @@ def _add_synthetic_flags(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--dims", type=_POSITIVE, default=3, help="feature count (default 3)")
     group.add_argument("--samples", type=_POSITIVE, default=40000, help="stream length (default 40000)")
     group.add_argument("--spread", type=_POSITIVE_FLOAT, default=0.1, help="cluster noise scale (default 0.1)")
-    group.add_argument("--center-box", type=float, default=2.0, help="half-width of the center box (default 2.0)")
-    group.add_argument("--seed", type=int, default=0, help="generator seed (default 0)")
+    group.add_argument("--center-box", type=_FINITE, default=2.0, help="half-width of the center box (default 2.0)")
+    group.add_argument("--seed", type=_checked(int, lambda v: v >= 0, "must be non-negative"), default=0,
+                       help="generator seed (default 0)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -192,6 +196,10 @@ def _cmd_run(args) -> int:
     else:
         if args.n_pt > args.n_quantiles:
             raise SystemExit2("argument --n-pt: must not exceed --n-quantiles")
+        try:
+            _signum_steps(args.n_quantiles, args.lam)
+        except ValueError as exc:
+            raise SystemExit2(f"argument --lambda: {exc}") from None
         params = Hyperparams(
             dims=dims, classes=classes, delta=args.delta, lam=args.lam,
             tau=args.tau, n_min=args.n_min, n_pt=args.n_pt,

@@ -12,13 +12,14 @@ its line.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from itertools import chain, starmap
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .tree import Sample, _name_odd_row
+from .tree import Sample, _check_integer, _name_odd_row
 
 __all__ = [
     "DatasetSpec",
@@ -34,7 +35,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DatasetSpec:
-    """Recipe for a synthetic clustered stream."""
+    """Recipe for a synthetic clustered stream.
+
+    clusters, dims, samples and seed take Python or numpy integers; a field
+    out of range, a spread or box that is not finite among them, raises a
+    ValueError that names it.
+    """
 
     clusters: int
     dims: int
@@ -44,15 +50,15 @@ class DatasetSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.clusters < 2:
-            raise ValueError("clusters must be at least 2")
-        if self.dims < 1:
-            raise ValueError("dims must be positive")
-        if self.samples < 1:
-            raise ValueError("samples must be positive")
+        _check_integer("clusters", self.clusters, 2)
+        _check_integer("dims", self.dims, 1)
+        _check_integer("samples", self.samples, 1)
         if not self.cluster_spread > 0.0:
             raise ValueError("cluster_spread must be positive")
-
+        for name in ("cluster_spread", "center_box"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        _check_integer("seed", self.seed, 0)
 
 # rows per generated block: about 1 MB of f64 noise, whatever the width
 _BLOCK_VALUES = 1 << 17

@@ -2,11 +2,12 @@
 
 Bundles model the device calling convention: an ordered batch of flagged
 samples handed to one kernel invocation. A bundle, like a prequential
-stream, is checked whole and then handed to Tree._learn, the kernel
-behind Tree.learn, which routes, answers and absorbs every sample
-between two split attempts at once. Its answers and the tree it leaves
-are exactly those of the same sequence of single train() and infer()
-calls.
+stream, is checked whole, once, by Tree._sample_rows, and the rows go to
+Tree._learn, the kernel behind Tree.learn, which checks nothing and
+routes, answers and absorbs every sample between two split attempts at
+once. Its answers and the tree it leaves are exactly those of the same
+sequence of single train() and infer() calls. The check rules live in
+tree.py, those of this module's own arguments included.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .serialize import model_bytes
-from .tree import Hyperparams, Sample, Tree, _name_odd_row
+from .tree import Hyperparams, Sample, Tree, _check_integer, _name_odd_row
 
 __all__ = [
     "Bundle",
@@ -40,8 +41,7 @@ class Bundle:
     capacity: int
 
     def __post_init__(self) -> None:
-        if self.capacity < 1:
-            raise ValueError("capacity must be positive")
+        _check_integer("capacity", self.capacity, 1)
         if len(self.samples) > self.capacity:
             raise ValueError(
                 f"{len(self.samples)} samples exceed capacity {self.capacity}"
@@ -57,10 +57,10 @@ class Bundle:
 def split_into_bundles(samples: Sequence[Sample], capacity: int) -> Iterator[Bundle]:
     """Chop a stream into maximal bundles, preserving order.
 
-    A capacity below 1 raises a ValueError at the call, before any slicing.
+    A capacity that is not an integer of at least 1 raises a ValueError at
+    the call, before any slicing.
     """
-    if capacity < 1:
-        raise ValueError("capacity must be positive")
+    _check_integer("capacity", capacity, 1)
     return (Bundle(list(samples[start : start + capacity]), capacity)
             for start in range(0, len(samples), capacity))
 
@@ -122,8 +122,7 @@ def run_prequential(
     """
     if not stream:
         raise ValueError("stream is empty")
-    if window < 1:
-        raise ValueError("window must be positive")
+    _check_integer("window", window, 1)
 
     start = time.perf_counter()
     X, labels, train = tree._sample_rows(stream)

@@ -45,6 +45,17 @@ _BLOCK_ROWS = 8192
 _WAVE_VALUES = 2**18
 
 
+def _check_integer(name: str, value, least: int | None = None) -> None:
+    """Raise a ValueError naming the parameter unless value is an integer of at least least.
+
+    A Python or numpy integer; a bool or a float is refused, not cast.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be {'positive' if least == 1 else f'at least {least}'}")
+
+
 @dataclass(frozen=True)
 class Hyperparams:
     """Tunable constants of the learner.
@@ -52,7 +63,10 @@ class Hyperparams:
     dims and classes describe the data; everything else controls growth.
     lam is the sketch step, n_min the number of samples a leaf absorbs
     between split attempts, n_pt the number of candidate thresholds tried
-    per attribute, and max_nodes the hard arena capacity.
+    per attribute, and max_nodes the hard arena capacity. The integer
+    fields take Python or numpy integers, not bools or floats; a value
+    that is out of range, tau NaN included, raises a ValueError that names
+    the field.
     """
 
     dims: int
@@ -66,24 +80,20 @@ class Hyperparams:
     max_nodes: int = 2047
 
     def __post_init__(self) -> None:
-        if self.dims < 1:
-            raise ValueError("dims must be positive")
-        if self.classes < 2:
-            raise ValueError("classes must be at least 2")
+        _check_integer("dims", self.dims, 1)
+        _check_integer("classes", self.classes, 2)
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
         if not self.lam > 0.0:
             raise ValueError("lam must be positive")
-        if self.tau < 0.0:
+        if not self.tau >= 0.0:
             raise ValueError("tau must be non-negative")
-        if self.n_min < 1:
-            raise ValueError("n_min must be positive")
-        if self.n_quantiles < 1:
-            raise ValueError("n_quantiles must be positive")
+        _check_integer("n_min", self.n_min, 1)
+        _check_integer("n_quantiles", self.n_quantiles, 1)
+        _check_integer("n_pt", self.n_pt)
         if not 1 <= self.n_pt <= self.n_quantiles:
             raise ValueError("n_pt must lie in [1, n_quantiles]")
-        if self.max_nodes < 1:
-            raise ValueError("max_nodes must be positive")
+        _check_integer("max_nodes", self.max_nodes, 1)
         _signum_steps(self.n_quantiles, self.lam)
 
 
@@ -93,7 +103,8 @@ class Sample:
 
     The label is only meaningful when train is set; inference-only samples
     may leave it at the default. A slotted record: an f32 ndarray is kept
-    as given, anything else is cast to one.
+    as given, anything else is cast to one; features that are not numbers
+    raise a ValueError.
     """
 
     features: np.ndarray
@@ -134,11 +145,17 @@ _F32 = np.dtype(np.float32)
 
 
 def _as_f32(values) -> np.ndarray:
-    """values as f32; one past the f32 range casts to inf, which callers reject, unwarned."""
+    """values as f32, or a ValueError if they are not numbers.
+
+    One past the f32 range casts to inf, which callers reject, unwarned.
+    """
     if type(values) is np.ndarray and values.dtype is _F32:
         return values
-    with np.errstate(over="ignore"):
-        return np.asarray(values, dtype=np.float32)
+    try:
+        with np.errstate(over="ignore"):
+            return np.asarray(values, dtype=np.float32)
+    except (TypeError, ValueError):
+        raise ValueError("features are not numbers") from None
 
 
 def _as_row(features, dims: int | None, like: str = "") -> np.ndarray:
@@ -146,10 +163,7 @@ def _as_row(features, dims: int | None, like: str = "") -> np.ndarray:
 
     The message names no sample; like follows the expected count in it.
     """
-    try:
-        x = _as_f32(features)
-    except (TypeError, ValueError):
-        raise ValueError("features are not numbers") from None
+    x = _as_f32(features)
     if x.ndim != 1 or dims is not None and len(x) != dims:
         expected = "one row of features" if dims is None else f"{dims} features{like}"
         raise ValueError(f"expected {expected}, got shape {x.shape}")
@@ -788,11 +802,18 @@ class Tree:
         X must be (rows, dims) and finite. Labels and the train mask, when
         given, must be as many integers and bools, and every train row's
         label a class index; the rows not flagged for training get label
-        0. The first fault found, in that order, raises a ValueError, which
-        names the sample once the shapes hold; nothing changes before.
+        0. The first fault found, in that order, raises a ValueError that
+        names the sample when one row is at fault, a row that is not dims
+        numbers among them; nothing changes before.
         """
         dims = self.params.dims
-        X = _as_f32(X)
+        try:
+            X = _as_f32(X)
+        except ValueError:
+            # ragged or not numbers: name the first row that is not dims numbers
+            if np.iterable(X):
+                _name_odd_row(X, dims)
+            raise
         if X.ndim != 2 or X.shape[1] != dims:
             raise ValueError(f"expected rows of {dims} features, got shape {X.shape}")
         if train is not None:

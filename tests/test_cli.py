@@ -185,6 +185,10 @@ def test_usage_errors_exit_one():
     (["mem", "--max-nodes", "0"], "argument --max-nodes: must be positive"),
     (["mem", "--classes", "5,1"], "argument --classes: must be at least 2"),
     (["mem", "--dims", ","], "argument --dims: must list at least one value"),
+    (["gen", "--center-box", "nan", "--out", "never.csv"], "argument --center-box: must be finite"),
+    (["run", "--synthetic", "--spread", "inf"], "argument --spread: must be finite"),
+    (["run", "--synthetic", "--lambda", "inf"], "argument --lambda: must be finite"),
+    (["run", "--synthetic", "--seed", "-1"], "argument --seed: must be non-negative"),
 ])
 def test_out_of_range_flags_are_usage_errors_naming_the_flag(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -196,6 +200,13 @@ def test_out_of_range_flags_are_usage_errors_naming_the_flag(argv, message, caps
 def test_n_pt_above_n_quantiles_is_a_usage_error(capsys):
     assert run_cli("run", "--synthetic", "--samples", "10", "--n-quantiles", "8", "--n-pt", "9") == 1
     assert capsys.readouterr().err.strip().endswith("error: argument --n-pt: must not exceed --n-quantiles")
+
+
+def test_lambda_without_f32_steps_is_a_usage_error(capsys):
+    # the library refuses it too, but only --n-quantiles and --lambda together tell
+    assert run_cli("run", "--synthetic", "--samples", "10", "--lambda", "1e-50") == 1
+    assert capsys.readouterr().err.strip().endswith(
+        "error: argument --lambda: sketch step 1e-50 gives f32 increments of 0 or inf")
 
 
 def test_mem_default_grid(capsys):
