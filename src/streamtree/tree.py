@@ -801,8 +801,8 @@ class Tree:
 
         X must be (rows, dims) and finite. Labels and the train mask, when
         given, must be as many integers and bools, and every train row's
-        label a class index; the rows not flagged for training get label
-        0. The first fault found, in that order, raises a ValueError that
+        label a class index; the labels of the other rows are never read.
+        The first fault found, in that order, raises a ValueError that
         names the sample when one row is at fault, a row that is not dims
         numbers among them; nothing changes before.
         """
@@ -824,14 +824,13 @@ class Tree:
             labels = np.asarray(labels)
             if labels.shape != (n,) or labels.dtype.kind not in "iub":
                 raise ValueError(f"labels must be {n} integers, got {labels.dtype} {labels.shape}")
-            labels = np.where(train, labels, 0)
         if not np.isfinite(X).all():
             finite = np.isfinite(X).all(axis=1)
             raise ValueError(f"sample {int(np.argmin(finite))}: features must be finite")
         if train is None:
             return X
         classes = self.params.classes
-        bad = (labels < 0) | (labels >= classes)
+        bad = train & ((labels < 0) | (labels >= classes))
         if bad.any():
             i = int(np.argmax(bad))
             raise ValueError(f"sample {i}: label {labels[i]} is not a class index below {classes}")
@@ -840,11 +839,11 @@ class Tree:
     def _sample_rows(self, samples: Sequence[Sample]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The samples as the rows learn() takes, checked: features, labels and train flags.
 
-        A ValueError names the first bad sample: features that are not dims
-        numbers, a train flag that is not a bool or a train label that is
-        not an integer class index, then features that are not finite. The
-        common case takes one array build before _checked(); any other
-        input is checked sample by sample first.
+        A ValueError names a bad sample: features that are not dims
+        numbers or not finite, a train flag that is not a bool, or a train
+        label that is not an integer class index. The common case takes
+        one array build before _checked(); any other input is checked
+        sample by sample first, and only then for finiteness.
         """
         dims, classes = self.params.dims, self.params.classes
         flags = [s.train for s in samples]
