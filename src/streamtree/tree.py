@@ -64,9 +64,9 @@ class Hyperparams:
     lam is the sketch step, n_min the number of samples a leaf absorbs
     between split attempts, n_pt the number of candidate thresholds tried
     per attribute, and max_nodes the hard arena capacity. The integer
-    fields take Python or numpy integers, not bools or floats; a value
-    that is out of range, tau NaN included, raises a ValueError that names
-    the field.
+    fields take Python or numpy integers, kept as Python ints, not bools
+    or floats; a value that is out of range, tau NaN included, raises a
+    ValueError that names the field.
     """
 
     dims: int
@@ -95,6 +95,9 @@ class Hyperparams:
             raise ValueError("n_pt must lie in [1, n_quantiles]")
         _check_integer("max_nodes", self.max_nodes, 1)
         _signum_steps(self.n_quantiles, self.lam)
+        # as Python ints, whose arithmetic in the kernel cannot wrap at a numpy width
+        for name in ("dims", "classes", "n_min", "n_pt", "n_quantiles", "max_nodes"):
+            object.__setattr__(self, name, int(getattr(self, name)))
 
 
 @dataclass(slots=True)

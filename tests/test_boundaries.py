@@ -96,6 +96,14 @@ def with_tau(snapshot: bytes, tau: float) -> bytes:
     return bytes(buf)
 
 
+def grown(params: Hyperparams) -> bytes:
+    """The snapshot of a fresh tree after one chunk longer than a learn() block."""
+    tree = Tree(params)
+    rows = np.random.default_rng(1).normal(size=(9000, 2)).astype(np.float32)
+    tree.learn(rows, (rows[:, 0] > 0) + (rows[:, 1] > 0), np.ones(len(rows), dtype=bool))
+    return bytes(serialize(tree))
+
+
 def params(**fields) -> Hyperparams:
     return Hyperparams(**{"dims": 2, "classes": 3, **fields})
 
@@ -282,6 +290,8 @@ CELLS = [
     ("Hyperparams", "lam 1e-50", lambda t: params(lam=1e-50), "^sketch step 1e-50 gives f32 increments of 0 or inf$"),
     ("Hyperparams", "numpy integers", lambda t: params(dims=np.int64(2), n_min=np.uint16(5), max_nodes=np.int32(15)),
      Accepts(lambda t: PARAMS)),
+    ("Hyperparams", "narrow numpy integers", lambda t: grown(params(n_min=np.uint8(200), max_nodes=np.int16(255))),
+     Accepts(lambda t: grown(params(n_min=200, max_nodes=255)))),
     ("Hyperparams", "tau -0.0", lambda t: math.copysign(1.0, params(tau=-0.0).tau), Accepts(lambda t: -1.0)),
     # DatasetSpec
     ("DatasetSpec", "center_box nan", lambda t: spec(center_box=NAN), "^center_box must be finite$"),
