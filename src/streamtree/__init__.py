@@ -28,7 +28,6 @@ from .sketch import QuantileSketch, quantile_targets
 from .tree import (
     Hyperparams,
     LeafStats,
-    Node,
     Sample,
     Tree,
     hoeffding_bound,
@@ -45,7 +44,6 @@ __all__ = [
     "DatasetSpec",
     "Hyperparams",
     "LeafStats",
-    "Node",
     "PrequentialReport",
     "QuantileSketch",
     "Sample",

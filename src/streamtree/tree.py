@@ -10,7 +10,8 @@ before absorbing the sample.
 
 The tree's nodes live in one numpy record array in the snapshot's record
 layout, so a snapshot is a header plus one copy of the used records (see
-serialize.py); Node and LeafStats are views of a record.
+serialize.py). Tree.view() hands out read-only copies of them; nothing
+outside the tree writes them.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,8 +32,8 @@ __all__ = [
     "Hyperparams",
     "Sample",
     "LeafStats",
-    "Node",
     "Tree",
+    "TreeView",
     "hoeffding_bound",
     "split_gain",
 ]
@@ -258,9 +260,9 @@ class _Records:
     def reserve(self, slots: int, limit: int) -> None:
         """Make room for at least slots slots, growing by doubling up to limit.
 
-        New slots are zero, their answers unknown. The arrays are replaced,
-        so views taken before a reserve() may be stale after it; LeafStats
-        re-reads them."""
+        New slots are zero, their answers unknown. The arrays are replaced
+        and counts, sketch and frozen bound to the new ones, so a view of
+        the old arrays taken before a reserve() is stale after it."""
         have = len(self.array)
         if slots <= have:
             return
@@ -366,64 +368,32 @@ class _Records:
 
 
 class LeafStats:
-    """Per-leaf class counts plus one quantile sketch per (class, attribute).
+    """Class counts plus one quantile sketch per (class, attribute) of a leaf of its own.
 
-    A view of one record: a tree's leaves view the tree's records, and
-    LeafStats(params) makes a leaf of its own. since_last_attempt counts
-    the samples absorbed since the last split attempt the way a tree's
-    leaf does (see _Records): on a non-frozen leaf it wraps to 0 every
-    n_min samples, standalone or not. It may be set to a Python or numpy
-    integer in [0, 2^63); anything else raises a ValueError. The sketch
-    grid has shape (classes, dims, n_quantiles); each cell behaves as a
-    standalone QuantileSketch fed the same scalars. class_counts and sketch_estimates
-    are views into the records, which a split may replace to make room for
-    its children: read them again after training rather than keeping them.
-    Reading class_counts marks the leaf's cached answer unknown, since the
-    caller may write through the view; a view kept across an infer() call
-    and written after it is not seen by later infer() calls, so read
-    class_counts again before each write. The read-only queries, cdf(),
-    total and the split attempt, read the counts without that mark, so
-    the cached answer outlives them.
+    A one-record tree leaf: absorb() folds a sample in as a tree's leaf
+    does (see _Records), and since_last_attempt wraps to 0 every n_min
+    samples. The sketch grid has shape (classes, dims, n_quantiles); each
+    cell behaves as a standalone QuantileSketch fed the same scalars.
+    class_counts and sketch_estimates are the leaf's own arrays, which a
+    caller may write. A tree's leaves are read through Tree.view().
     """
 
-    __slots__ = ("_pool", "_slot")
+    __slots__ = ("_pool",)
 
-    def __init__(self, params: Hyperparams, pool: _Records | None = None, slot: int = 0) -> None:
-        self._pool = _Records.leaf(params) if pool is None else pool
-        self._slot = slot
+    def __init__(self, params: Hyperparams) -> None:
+        self._pool = _Records.leaf(params)
 
     @property
     def class_counts(self) -> np.ndarray:
-        self._pool.answer[self._slot] = -1
-        return self._pool.counts[self._slot]
-
-    @property
-    def _counts(self) -> np.ndarray:
-        # class_counts for reading only: the cached answer stays
-        return self._pool.counts[self._slot]
+        return self._pool.counts[0]
 
     @property
     def sketch_estimates(self) -> np.ndarray:
-        return self._pool.sketch[self._slot]
+        return self._pool.sketch[0]
 
     @property
     def since_last_attempt(self) -> int:
-        return int(self._pool.since[self._slot])
-
-    @since_last_attempt.setter
-    def since_last_attempt(self, value: int) -> None:
-        # the live count is int64; a float or a bool is refused, not cast
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not 0 <= value < 2**63:
-            raise ValueError(f"since_last_attempt must be an integer in [0, 2**63), got {value!r}")
-        self._pool.since[self._slot] = value
-
-    @property
-    def frozen(self) -> bool:
-        return bool(self._pool.frozen[self._slot])
-
-    @frozen.setter
-    def frozen(self, value: bool) -> None:
-        self._pool.frozen[self._slot] = value
+        return int(self._pool.since[0])
 
     @property
     def _targets(self) -> np.ndarray:
@@ -431,15 +401,15 @@ class LeafStats:
 
     @property
     def total(self) -> int:
-        return int(self._counts.sum())
+        return int(self.class_counts.sum())
 
     def majority(self) -> int:
         """Most frequent class; ties and the empty leaf resolve to the lowest index."""
-        return self._pool.majority(self._slot)
+        return int(self.class_counts.argmax())
 
     def absorb(self, label: int, features: np.ndarray) -> None:
         """Fold one training sample into the counts and the label's sketch row."""
-        self._pool.absorb_cell(self._slot, label, np.asarray(features)[None])
+        self._pool.absorb_cell(0, label, np.asarray(features)[None])
 
     def cdf(self, label: int, attr: int, value: float) -> float:
         """Estimated P(x_attr <= value | class=label). Requires a seen class.
@@ -447,56 +417,34 @@ class LeafStats:
         A label or an attribute that is not an index of the sketch grid,
         or a NaN value, raises a ValueError that names it.
         """
-        classes, dims = self._pool.sketch.shape[1:3]
+        classes, dims = self.sketch_estimates.shape[:2]
         label, attr = _index(label, classes, "class"), _index(attr, dims, "attribute")
-        if self._counts[label] == 0:
+        if self.class_counts[label] == 0:
             raise ValueError(f"class {label} has no observations at this leaf")
         return cdf_lookup(self.sketch_estimates[label, attr], self._targets, value)
 
 
-class Node:
-    """A view of one arena slot: a leaf (stats set; assigning copies one in) or a split."""
+class TreeView(NamedTuple):
+    """Read-only copies of a tree's used node records, indexed by node.
 
-    __slots__ = ("_tree", "_slot")
+    kind is 1 on an internal node and 0 on a leaf. An internal node splits
+    on attribute split_attr: rows whose value is at most split_value go to
+    left, the others to right. A leaf holds class_counts, its sketch grid
+    sketch_estimates of shape (classes, dims, n_quantiles), frozen, and
+    since_last_attempt, the live count of samples since its last split
+    attempt, which a snapshot saturates at 2^32 - 1. Fields a node does not
+    use are zero.
+    """
 
-    def __init__(self, tree: "Tree", slot: int) -> None:
-        self._tree = tree
-        self._slot = slot
-
-    @property
-    def stats(self) -> LeafStats | None:
-        tree = self._tree
-        return None if tree._nodes[self._slot][0] else LeafStats(tree.params, tree._pool, self._slot)
-
-    @stats.setter
-    def stats(self, stats: LeafStats) -> None:
-        leaf = self.stats
-        if leaf is None:
-            raise ValueError(f"node {self._slot} is not a leaf")
-        leaf.class_counts[:] = stats._counts
-        leaf.sketch_estimates[:] = stats.sketch_estimates
-        leaf.since_last_attempt = stats.since_last_attempt
-        leaf.frozen = stats.frozen
-
-    split_attr = property(lambda self: self._tree._nodes[self._slot][1])
-    split_value = property(lambda self: self._tree._nodes[self._slot][2])
-    left = property(lambda self: self._tree._nodes[self._slot][3])
-    right = property(lambda self: self._tree._nodes[self._slot][4])
-
-
-class _Arena(Sequence):
-    """tree.arena: a Node view per slot."""
-
-    __slots__ = ("_tree",)
-
-    def __init__(self, tree: "Tree") -> None:
-        self._tree = tree
-
-    def __len__(self) -> int:
-        return self._tree.node_count
-
-    def __getitem__(self, i: int) -> Node:
-        return Node(self._tree, range(len(self))[i])
+    kind: np.ndarray
+    split_attr: np.ndarray
+    split_value: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    class_counts: np.ndarray
+    sketch_estimates: np.ndarray
+    frozen: np.ndarray
+    since_last_attempt: np.ndarray
 
 
 def _grouped(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -724,7 +672,7 @@ def split_gain(stats: LeafStats, attr: int, value: float) -> float:
     attr = _index(attr, stats.sketch_estimates.shape[1], "attribute")
     if math.isnan(value):
         raise ValueError(f"cannot split at value {float(value)}")
-    counts = stats._counts
+    counts = stats.class_counts
     seen, knots = _seen_knots(counts, stats.sketch_estimates)
     values = np.array([[value]], dtype=np.float64)
     return float(_gain_grid(counts, stats._targets, seen, knots[[attr]], values)[0, 0])
@@ -739,7 +687,7 @@ def split_candidates(stats: LeafStats, attr: int, n_pt: int) -> np.ndarray:
     attribute that is not an index below dims raises a ValueError.
     """
     attr = _index(attr, stats.sketch_estimates.shape[1], "attribute")
-    counts = stats._counts
+    counts = stats.class_counts
     seen, knots = _seen_knots(counts, stats.sketch_estimates)
     cands, fresh = _candidate_grid(knots[[attr]], counts[seen], n_pt)
     return cands[0][fresh[0]]
@@ -749,7 +697,7 @@ class Tree:
     """Fixed-capacity incremental decision tree; a fresh tree is one empty leaf.
 
     Its at most max_nodes nodes live in one record array in the snapshot
-    layout (_Records), which tree.arena[i] views. One-row calls read two
+    layout (_Records), of which view() makes read-only copies. One-row calls read two
     Python lists beside it: _nodes, a mirror of the kind and split fields
     that _leaf() descends, and the records' answer list. Calls of many
     rows descend _table, aligned arrays of the split fields and the
@@ -772,9 +720,18 @@ class Tree:
     def node_count(self) -> int:
         return len(self._nodes)
 
-    @property
-    def arena(self) -> _Arena:
-        return _Arena(self)
+    def view(self) -> TreeView:
+        """Read-only copies of the used node records; see TreeView.
+
+        A view stays as it was when the tree changes, and taking one
+        changes nothing in the tree.
+        """
+        n, pool = self.node_count, self._pool
+        fields = [pool.array[name][:n].copy() for name in TreeView._fields[:-1]]
+        fields.append(pool.since[:n].copy())
+        for field in fields:
+            field.flags.writeable = False
+        return TreeView(*fields)
 
     def _leaf(self, features) -> int:
         """Leaf index of one row, checked for shape and finiteness first.
@@ -1113,22 +1070,21 @@ class Tree:
         leaf_idx = _index(leaf_idx, self.node_count, "node")
         if self._nodes[leaf_idx][0]:
             raise ValueError(f"node {leaf_idx} is not a leaf")
-        stats = LeafStats(self.params, self._pool, leaf_idx)
-        if stats.frozen:
+        pool, params = self._pool, self.params
+        if pool.frozen[leaf_idx]:
             return None
-        if self.node_count + 2 > self.params.max_nodes:
-            stats.frozen = True
+        if self.node_count + 2 > params.max_nodes:
+            pool.frozen[leaf_idx] = True
             return None
-        if int(np.count_nonzero(stats._counts)) < 2:
+        counts = pool.counts[leaf_idx]
+        if int(np.count_nonzero(counts)) < 2:
             return None
 
-        params = self.params
-        best_gain, best_value = _best_splits(stats._counts, stats.sketch_estimates, stats._targets,
-                                             params.n_pt)
+        best_gain, best_value = _best_splits(counts, pool.sketch[leaf_idx], pool.targets, params.n_pt)
         first = int(np.argmax(best_gain))
         g_first = best_gain[first]
         g_second = float(np.delete(best_gain, first).max()) if params.dims > 1 else 0.0
-        epsilon = hoeffding_bound(math.log2(params.classes), params.delta, stats.total)
+        epsilon = hoeffding_bound(math.log2(params.classes), params.delta, int(counts.sum()))
         if g_first > 0.0 and (g_first - g_second > epsilon or epsilon < params.tau):
             value = best_value[first]
             self._split(leaf_idx, first, value)

@@ -232,7 +232,7 @@ def test_criterion_4_separable_synthetic_learning(synthetic_runs):
         oracle_attr = int(np.argmax(
             [best_threshold_accuracy(X[:, d], y) for d in range(3)]
         ))
-        if tree.node_count > 1 and tree.arena[tree.root].split_attr == oracle_attr:
+        if tree.node_count > 1 and tree.view().split_attr[tree.root] == oracle_attr:
             first_split_matches += 1
 
     ok = oracle_ok and median_tail >= 0.90 and first_split_matches == len(SYNTH_SEEDS)
@@ -355,14 +355,15 @@ def adversarial_stream(rng, n, dims=3, classes=3):
 
 
 def structure_counts(tree):
+    view = tree.view()
     stack, leaves, internals = [tree.root], 0, 0
     while stack:
-        node = tree.arena[stack.pop()]
-        if node.stats is not None:
+        idx = stack.pop()
+        if not view.kind[idx]:
             leaves += 1
         else:
             internals += 1
-            stack.extend((node.left, node.right))
+            stack.extend((view.left[idx], view.right[idx]))
     return leaves, internals
 
 

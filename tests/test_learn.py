@@ -3,7 +3,7 @@
 The reference below is the per-sample infer-then-train loop that preceded
 the kernel (LeafStats with arrays of its own, Tree.train routing, predicting,
 absorbing and attempting one sample at a time), kept verbatim apart from
-the class names. Split evaluation is shared, since it is not what changed.
+the class names and the name of its node list, nodes. Split evaluation is shared, since it is not what changed.
 The kernel must give the same answers and, byte for byte, the same
 snapshots.
 """
@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from leaves import reloaded, set_leaf
 
 import streamtree.tree as tree_module
 from streamtree.datasets import DatasetSpec, generate_clusters
@@ -91,12 +92,12 @@ class ReferenceNode:
 class ReferenceTree:
     def __init__(self, params: Hyperparams) -> None:
         self.params = params
-        self.arena = [ReferenceNode(ReferenceLeafStats(params))]
+        self.nodes = [ReferenceNode(ReferenceLeafStats(params))]
         self.root = 0
 
     @property
     def node_count(self) -> int:
-        return len(self.arena)
+        return len(self.nodes)
 
     def _check_features(self, features) -> np.ndarray:
         x = np.asarray(features, dtype=np.float32)
@@ -110,10 +111,10 @@ class ReferenceTree:
 
     def _descend(self, x: np.ndarray) -> int:
         idx = self.root
-        node = self.arena[idx]
+        node = self.nodes[idx]
         while node.stats is None:
             idx = node.left if x[node.split_attr] <= node.split_value else node.right
-            node = self.arena[idx]
+            node = self.nodes[idx]
         return idx
 
     def sort_to_leaf(self, features) -> int:
@@ -122,7 +123,7 @@ class ReferenceTree:
 
     def infer(self, features) -> int:
         """Majority class of the routed leaf. No mutation."""
-        return self.arena[self.sort_to_leaf(features)].stats.majority()
+        return self.nodes[self.sort_to_leaf(features)].stats.majority()
 
     def train(self, sample: Sample) -> int:
         """Absorb one flagged training sample; returns the pre-update prediction.
@@ -139,7 +140,7 @@ class ReferenceTree:
             )
         x = self._check_features(sample.features)
         leaf_idx = self._descend(x)
-        stats = self.arena[leaf_idx].stats
+        stats = self.nodes[leaf_idx].stats
         prediction = stats.majority()
         stats.absorb(label, x)
         if stats.since_last_attempt >= self.params.n_min and not stats.frozen:
@@ -154,7 +155,7 @@ class ReferenceTree:
         A leaf that cannot fit two children in the arena is frozen for good
         and keeps accumulating statistics for prediction only.
         """
-        node = self.arena[leaf_idx]
+        node = self.nodes[leaf_idx]
         stats = node.stats
         if stats is None:
             raise ValueError(f"node {leaf_idx} is not a leaf")
@@ -188,14 +189,14 @@ class ReferenceTree:
 
     def _split(self, leaf_idx: int, attr: int, value: float) -> None:
         # threshold held at f32 so the live tree and its serialized form agree
-        node = self.arena[leaf_idx]
+        node = self.nodes[leaf_idx]
         node.stats = None
         node.split_attr = attr
         node.split_value = float(np.float32(value))
-        node.left = len(self.arena)
-        node.right = len(self.arena) + 1
-        self.arena.append(ReferenceNode(ReferenceLeafStats(self.params)))
-        self.arena.append(ReferenceNode(ReferenceLeafStats(self.params)))
+        node.left = len(self.nodes)
+        node.right = len(self.nodes) + 1
+        self.nodes.append(ReferenceNode(ReferenceLeafStats(self.params)))
+        self.nodes.append(ReferenceNode(ReferenceLeafStats(self.params)))
 
 
 def reference_run(params, stream):
@@ -209,16 +210,15 @@ def reference_snapshot(ref: ReferenceTree) -> bytes:
     """serialize() bytes of a Tree that holds the reference tree's state."""
     tree = Tree(ref.params)
     # replay the splits in the order that gave the children their indices
-    for _, i in sorted((n.left, i) for i, n in enumerate(ref.arena) if n.stats is None):
-        node = ref.arena[i]
+    for _, i in sorted((n.left, i) for i, n in enumerate(ref.nodes) if n.stats is None):
+        node = ref.nodes[i]
         tree._split(i, node.split_attr, node.split_value)
-    for i, node in enumerate(ref.arena):
+    for i, node in enumerate(ref.nodes):
         if node.stats is not None:
-            stats = tree.arena[i].stats
-            stats.class_counts[:] = node.stats.class_counts
-            stats.sketch_estimates[:] = node.stats.sketch_estimates
-            stats.since_last_attempt = node.stats.since_last_attempt
-            stats.frozen = node.stats.frozen
+            # the reference's counter may pass the snapshot's u32
+            set_leaf(tree, i, class_counts=node.stats.class_counts,
+                     sketch_estimates=node.stats.sketch_estimates,
+                     since_last_attempt=node.stats.since_last_attempt, frozen=node.stats.frozen)
     return serialize(tree)
 
 
@@ -242,7 +242,7 @@ def assert_kernel_matches_reference(params, stream, chunks):
 
 
 def frozen_leaves(ref):
-    return sum(n.stats is not None and n.stats.frozen for n in ref.arena)
+    return sum(n.stats is not None and n.stats.frozen for n in ref.nodes)
 
 
 # -------------------------------------------------------------- corpora
@@ -439,8 +439,8 @@ def test_one_class_stream_makes_no_split_attempt(monkeypatch):
     for start in range(0, len(stream), 37):
         part = stream[start : start + 37]
         assert process_bundle(tree, Bundle(part, 37)) == [ref.train(s) for s in part]
-        since = ref.arena[0].stats.since_last_attempt
-        assert tree.arena[0].stats.since_last_attempt == since == (start + len(part)) % 10
+        since = ref.nodes[0].stats.since_last_attempt
+        assert tree.view().since_last_attempt[0] == since == (start + len(part)) % 10
     assert attempts == []
     assert serialize(tree) == reference_snapshot(ref)
 
@@ -456,7 +456,7 @@ def test_arena_filled_mid_chunk_freezes_every_leaf(max_nodes):
     params = Hyperparams(dims=2, classes=4, n_min=20, tau=1.0, max_nodes=max_nodes)
     stream = [Sample(x, int(y)) for x, y in zip(X, labels)]
     _, ref = assert_kernel_matches_reference(params, stream, [1_000, 3_000])
-    leaves = [n.stats for n in ref.arena if n.stats is not None]
+    leaves = [n.stats for n in ref.nodes if n.stats is not None]
     assert ref.node_count == max_nodes and all(stats.frozen for stats in leaves)
     if max_nodes == 7:
         assert sum(np.count_nonzero(stats.class_counts) == 1 for stats in leaves) == 3
@@ -488,10 +488,13 @@ def test_counter_past_n_min_attempts_at_the_next_train_row(n_min, stored):
             t.train(s)
     assert ref.node_count > 5
     count = STORED_COUNTS[stored](n_min)
-    for t in (ref, lone, bundled, whole):
-        for node in t.arena:
-            if node.stats is not None and not node.stats.frozen:
-                node.stats.since_last_attempt = count
+    for node in ref.nodes:
+        if node.stats is not None and not node.stats.frozen:
+            node.stats.since_last_attempt = count
+    # a count of 2^32 + 5 does not fit a snapshot, so it goes into the live records
+    for t in (lone, bundled, whole):
+        view = t.view()
+        set_leaf(t, [i for i in t.leaf_indices() if not view.frozen[i]], since_last_attempt=count)
     rest = stream[400:]
     want = [ref.train(s) for s in rest]
     assert [lone.train(s) for s in rest] == want
@@ -521,10 +524,14 @@ def test_attempts_one_and_two_rows_short_of_n_min(n_min, below, max_nodes):
         ref.train(s)
         tree.train(s)
     before = ref.node_count, frozen_leaves(ref)
-    for t in (ref, tree):
-        for node in t.arena:
-            if node.stats is not None and not node.stats.frozen:
-                node.stats.since_last_attempt = n_min - below
+    for node in ref.nodes:
+        if node.stats is not None and not node.stats.frozen:
+            node.stats.since_last_attempt = n_min - below
+    # into the live records: a loaded tree's lam and delta are rounded to
+    # f32, so it would no longer learn like the reference
+    view = tree.view()
+    set_leaf(tree, [i for i in tree.leaf_indices() if not view.frozen[i]],
+             since_last_attempt=n_min - below)
     rng = np.random.default_rng(n_min + below)
     rest = [Sample(s.features, s.label, False) for s in stream[100:]]
     for start in range(0, len(rest), 8):
@@ -576,7 +583,7 @@ def test_one_signum_update_per_wave(monkeypatch):
     monkeypatch.setattr(tree_module, "signum_update", recording)
     tree.learn(X[:5], np.full(5, 2), np.ones(5, dtype=bool))
     assert in_place == [True] * 5
-    assert tree.arena[0].stats.class_counts.tolist() == [16, 11, 18]
+    assert tree.view().class_counts[0].tolist() == [16, 11, 18]
 
 
 def test_waves_run_on_full_shape_operands_within_their_bound(monkeypatch):
@@ -629,7 +636,7 @@ def test_learn_answers_infer_rows_without_training():
     train = np.array([True, False, True, True, False])
     # majority before each row: empty, {1}, {1}, {0, 1} tie -> 0, {0, 1, 1}
     assert tree.learn(X, labels, train).tolist() == [0, 1, 1, 0, 1]
-    assert tree.arena[0].stats.class_counts.tolist() == [1, 2]
+    assert tree.view().class_counts[0].tolist() == [1, 2]
 
 
 # -------------------------------------------------------------- routing
@@ -647,8 +654,8 @@ def split_tree(nodes: int, seed: int = 0) -> Tree:
         at = leaf == target
         value = float(np.median(X[at, attr]))
         tree._split(target, attr, value)
-        node = tree.arena[target]
-        leaf[at] = np.where(X[at, attr] <= node.split_value, node.left, node.right)
+        left, right = tree.node_count - 2, tree.node_count - 1
+        leaf[at] = np.where(X[at, attr] <= np.float32(value), left, right)
     return tree
 
 
@@ -656,9 +663,10 @@ def test_lockstep_routing_matches_per_row_descent_on_a_large_tree():
     # rows at every threshold, and at both signed zeros, as well as spread rows
     tree = split_tree(1_023)
     # a majority per leaf, so that the answers tell the leaves apart too
-    for i in tree.leaf_indices():
-        tree.arena[i].stats.class_counts[i % 5] = 1
-    thresholds = [n.split_value for n in tree.arena if n.stats is None]
+    leaves = np.array(tree.leaf_indices())
+    tree = reloaded(tree, leaves, class_counts=np.eye(5, dtype=np.int64)[leaves % 5])
+    view = tree.view()
+    thresholds = view.split_value[view.kind == 1].tolist()
     rng = np.random.default_rng(1)
     X = rng.normal(size=(600, 3)).astype(np.float32)
     X[:300] = rng.choice(np.array(thresholds + [0.0, -0.0], dtype=np.float32), size=(300, 3))
@@ -674,15 +682,16 @@ def test_lockstep_routing_matches_per_row_descent_on_a_large_tree():
     # fresh tree and route between them through _route, predict and learn
     # in turn. Each split's children answer 1 and 2, and its parent, whose
     # counts the split zeroes, 0, so a table kept across a split, or a
-    # descent that stops a level short of the depth, answers 0
+    # descent that stops a level short of the depth, answers 0. The
+    # children's counts go into the live records, since a reload would drop
+    # the table whatever _split does
     grown, X = Tree(tree.params), X[:200]
     infer_only = np.zeros(len(X), dtype=bool)
-    splits = sorted((n.left, i) for i, n in enumerate(tree.arena) if n.stats is None)
+    splits = sorted((view.left[i], i) for i in np.flatnonzero(view.kind))
     for k, (_, i) in enumerate(splits[:90]):
-        node = tree.arena[i]
-        grown._split(i, node.split_attr, node.split_value)
-        grown.arena[node.left].stats.class_counts[1] = 1
-        grown.arena[node.right].stats.class_counts[2] = 1
+        grown._split(i, int(view.split_attr[i]), float(view.split_value[i]))
+        set_leaf(grown, view.left[i], class_counts=[0, 1, 0, 0, 0])
+        set_leaf(grown, view.right[i], class_counts=[0, 0, 1, 0, 0])
         if k % 3 == 0:
             assert grown._route(X).tolist() == [grown.sort_to_leaf(x) for x in X]
         elif k % 3 == 1:
@@ -694,9 +703,12 @@ def test_lockstep_routing_matches_per_row_descent_on_a_large_tree():
 
 def test_predict_matches_per_row_infer_on_a_large_tree():
     tree = split_tree(1_023)
-    for i in tree.leaf_indices():
-        tree.arena[i].stats.class_counts[(i * 7) % 5] = 1 + i % 3
-    thresholds = [n.split_value for n in tree.arena if n.stats is None]
+    leaves = np.array(tree.leaf_indices())
+    counts = np.zeros((len(leaves), 5), dtype=np.int64)
+    counts[np.arange(len(leaves)), (leaves * 7) % 5] = 1 + leaves % 3
+    tree = reloaded(tree, leaves, class_counts=counts)
+    view = tree.view()
+    thresholds = view.split_value[view.kind == 1].tolist()
     rng = np.random.default_rng(2)
     X = rng.normal(size=(600, 3)).astype(np.float32)
     X[:300] = rng.choice(np.array(thresholds + [0.0, -0.0], dtype=np.float32), size=(300, 3))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from leaves import reloaded, set_leaf
 
 from streamtree.datasets import DatasetSpec, generate_clusters
 from streamtree.serialize import (
@@ -17,7 +18,7 @@ from streamtree.serialize import (
     node_record_bytes,
     serialize,
 )
-from streamtree.tree import Hyperparams, Sample, Tree
+from streamtree.tree import Hyperparams, LeafStats, Sample, Tree
 
 
 def trained_tree(seed=0, n=4000, max_nodes=63):
@@ -40,7 +41,7 @@ def test_fresh_tree_round_trip():
         # f32 storage rounds the float fields
         back.params.dims == params.dims and back.params.classes == params.classes
     )
-    assert back.arena[0].stats.total == 0
+    assert back.view().class_counts.sum() == 0
     assert serialize(back) == buf
 
 
@@ -113,13 +114,13 @@ def test_round_trip_preserves_statistics_and_training():
     buf = serialize(tree)
     back = deserialize(buf)
     written = _records(buf, tree.params, tree.node_count)
+    a, b = tree.view(), back.view()
     for idx in tree.leaf_indices():
-        a, b = tree.arena[idx].stats, back.arena[idx].stats
-        assert a.class_counts.tolist() == b.class_counts.tolist()
-        assert a.sketch_estimates.tobytes() == b.sketch_estimates.tobytes()
-        assert (written["sketch_counts"][idx] == b.class_counts[:, None]).all()
-        assert a.since_last_attempt == b.since_last_attempt
-        assert a.frozen == b.frozen
+        assert a.class_counts[idx].tolist() == b.class_counts[idx].tolist()
+        assert a.sketch_estimates[idx].tobytes() == b.sketch_estimates[idx].tobytes()
+        assert (written["sketch_counts"][idx] == b.class_counts[idx, :, None]).all()
+        assert a.since_last_attempt[idx] == b.since_last_attempt[idx]
+        assert a.frozen[idx] == b.frozen[idx]
     # the restored tree keeps learning
     back.train(Sample(np.zeros(3, dtype=np.float32), 1))
 
@@ -207,9 +208,9 @@ def test_frozen_flag_survives_round_trip():
     for i in range(60):
         x = rng.normal(0, 0.1, 2) + (i % 2) * 4.0
         tree.train(Sample(x.astype(np.float32), i % 2))
-    assert tree.arena[0].stats.frozen
+    assert tree.view().frozen[0]
     back = deserialize(serialize(tree))
-    assert back.arena[0].stats.frozen
+    assert back.view().frozen[0]
     assert serialize(back) == serialize(tree)
 
 
@@ -235,8 +236,7 @@ def hand_built_tree():
     tree._split(2, 1, -0.25)
     for x0, x1, label in GOLDEN_ROWS:
         tree.train(Sample(np.array([x0, x1], dtype=np.float32), label))
-    tree.arena[3].stats.frozen = True
-    return tree
+    return reloaded(tree, 3, frozen=True)
 
 
 def editable(buf, tree):
@@ -297,39 +297,47 @@ def test_deserialize_rejects_class_count_past_int64():
 
 def test_since_last_attempt_saturates_on_the_wire():
     x = np.array([1.0, -1.0], dtype=np.float32)
-    lone, bundled = hand_built_tree(), hand_built_tree()
-    for tree in (lone, bundled):
-        # leaf 3 is frozen, so it never wraps the counter
-        tree.arena[3].stats.since_last_attempt = 2**32 - 1
+    # leaf 3 is frozen, so it never wraps the counter
+    lone, bundled = (reloaded(hand_built_tree(), 3, since_last_attempt=2**32 - 1) for _ in range(2))
     lone.train(Sample(x, 1))
     # three classes at one leaf: the many-cell absorb, not the one-cell one
     bundled.learn(np.tile(x, (3, 1)), np.arange(3), np.ones(3, dtype=bool))
     for tree, since in ((lone, 2**32), (bundled, 2**32 + 2)):
-        assert tree.arena[3].stats.since_last_attempt == since
+        assert tree.view().since_last_attempt[3] == since
         buf = serialize(tree)
         assert _records(buf, tree.params, tree.node_count)["since_last_attempt"][3] == 2**32 - 1
         back = deserialize(buf)
-        assert back.arena[3].stats.since_last_attempt == 2**32 - 1
+        assert back.view().since_last_attempt[3] == 2**32 - 1
         assert serialize(back) == buf
 
 
 @pytest.mark.parametrize("value", [-5, 2**63, 2**64, 2.7, np.float64(3.0), True, np.int64(-1), "3", None],
                          ids=repr)
 def test_since_last_attempt_refuses_what_is_not_a_count(value):
-    # -5 once went out on the wire as 4,294,967,291, 2.7 was stored as 2 and 2^64 raised OverflowError
-    stats = Tree(Hyperparams(dims=2, classes=2)).arena[0].stats
-    with pytest.raises(ValueError, match=r"since_last_attempt must be an integer in \[0, 2\*\*63\), got"):
+    # through a public setter, -5 once went out on the wire as 4,294,967,291,
+    # 2.7 was stored as 2 and 2^64 raised OverflowError; the counter now has
+    # no public writer: a view refuses the write and is a copy, and a
+    # standalone leaf's counter has no setter
+    tree = Tree(Hyperparams(dims=2, classes=2))
+    before = bytes(serialize(tree))
+    view = tree.view()
+    with pytest.raises(ValueError, match="^assignment destination is read-only$"):
+        view.since_last_attempt[0] = value
+    assert view.since_last_attempt[0] == 0 and bytes(serialize(tree)) == before
+    stats = LeafStats(tree.params)
+    with pytest.raises(AttributeError):
         stats.since_last_attempt = value
     assert stats.since_last_attempt == 0
 
 
 @pytest.mark.parametrize("value", [0, 7, 2**32 + 5, 2**63 - 1, np.int32(9), np.uint64(2**63 - 1)])
 def test_since_last_attempt_takes_python_and_numpy_counts(value):
+    # the live count is int64; only counts below 2^32 fit a snapshot
     tree = Tree(Hyperparams(dims=2, classes=2))
-    tree.arena[0].stats.since_last_attempt = value
-    assert tree.arena[0].stats.since_last_attempt == int(value)
+    set_leaf(tree, 0, since_last_attempt=value)
+    assert tree.view().since_last_attempt[0] == int(value)
     back = deserialize(serialize(tree))
-    assert back.arena[0].stats.since_last_attempt == min(int(value), 2**32 - 1)
+    assert back.view().since_last_attempt[0] == min(int(value), 2**32 - 1)
 
 
 WIDE_ITEMS = {
@@ -413,10 +421,9 @@ def test_unused_fields_and_frozen_bytes_load_as_canonical():
     rec["since_last_attempt"][internal] = 123
     rec["frozen"][[3, 4]] = 7
     buf[-100:] = b"\xff" * 100
-    tree.arena[4].stats.frozen = True
-    canonical = serialize(tree)
+    canonical = serialize(reloaded(tree, 4, frozen=True))
     back = deserialize(bytes(buf))
-    assert [back.arena[i].stats.frozen for i in back.leaf_indices()] == [False, True, True]
+    assert back.view().frozen[back.leaf_indices()].tolist() == [False, True, True]
     assert serialize(back) == canonical
     assert serialize(deserialize(canonical)) == canonical
 
@@ -451,14 +458,15 @@ SOUND_USED = 50 + 5 * node_record_bytes(2, 3, 4)
 
 def assert_sound(tree):
     """Every probe routes within node_count steps, infer answers, predict agrees, and reloading is stable."""
-    values = [n.split_value for n in tree.arena if n.stats is None]
+    view = tree.view()
+    values = view.split_value[view.kind == 1].tolist()
     probes = np.array([(a, b) for a in values + [0.0, -0.0, 1.0] for b in values + [-1.0]]
                       + [(x0, x1) for x0, x1, _ in GOLDEN_ROWS], dtype=np.float32)
     for x in probes:
         idx, steps = 0, 0
-        while tree.arena[idx].stats is None:
-            node = tree.arena[idx]
-            idx = node.left if x[node.split_attr] <= node.split_value else node.right
+        while view.kind[idx]:
+            go_left = x[view.split_attr[idx]] <= view.split_value[idx]
+            idx = view.left[idx] if go_left else view.right[idx]
             steps += 1
             assert steps < tree.node_count
         assert tree.sort_to_leaf(x) == idx

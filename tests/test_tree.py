@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from leaves import reloaded
 
 from streamtree.datasets import CsvSchema, DatasetSpec, generate_clusters, load_csv
 from streamtree.harness import Bundle, process_bundle
@@ -139,7 +140,7 @@ def test_fresh_tree_routes_to_root():
 def test_single_split_routes_by_threshold():
     tree = Tree(small_params())
     tree._split(0, 0, 0.5)
-    left, right = tree.arena[0].left, tree.arena[0].right
+    left, right = tree.view().left[0], tree.view().right[0]
     assert tree.sort_to_leaf([0.3, 9.0]) == left
     assert tree.sort_to_leaf([0.5, 9.0]) == left  # boundary goes left
     assert tree.sort_to_leaf([0.7, -9.0]) == right
@@ -152,12 +153,13 @@ def test_depth_three_matches_recursive_oracle():
     tree._split(2, 1, 0.7)
     tree._split(3, 0, 0.2)
 
+    view = tree.view()
+
     def descend(idx, x):  # independent recursive descent
-        node = tree.arena[idx]
-        if node.stats is not None:
+        if not view.kind[idx]:
             return idx
-        child = node.left if x[node.split_attr] <= node.split_value else node.right
-        return descend(child, x)
+        go_left = x[view.split_attr[idx]] <= view.split_value[idx]
+        return descend(view.left[idx] if go_left else view.right[idx], x)
 
     grid = [0.05, 0.15, 0.25, 0.35, 0.45, 0.55, 0.65, 0.75, 0.85]
     for a in grid:
@@ -234,7 +236,7 @@ def test_largest_f32_features_are_finite_in_every_attribute():
         assert tree.sort_to_leaf(row) == leaf
         assert tree.infer(row) == 0
         assert tree.train(Sample(row, label=1)) == 0
-    assert [tree.arena[i].stats.total for i in (1, 2)] == [1, 1]
+    assert tree.view().class_counts[[1, 2]].sum(axis=1).tolist() == [1, 1]
 
 
 # ---------------------------------------------------------------- inference
@@ -243,9 +245,9 @@ def test_largest_f32_features_are_finite_in_every_attribute():
 def test_infer_defaults_and_ties():
     tree = Tree(small_params(classes=3))
     assert tree.infer([0.0, 0.0]) == 0  # empty leaf
-    tree.arena[0].stats.class_counts[:] = [3, 7, 0]
+    tree = reloaded(tree, 0, class_counts=[3, 7, 0])
     assert tree.infer([0.0, 0.0]) == 1  # majority
-    tree.arena[0].stats.class_counts[:] = [5, 5, 2]
+    tree = reloaded(tree, 0, class_counts=[5, 5, 2])
     assert tree.infer([0.0, 0.0]) == 0  # tie toward lowest index
 
 
@@ -261,10 +263,11 @@ def test_infer_does_not_mutate():
 
 
 def assert_answers_current(tree, X):
-    """Per-row infer() equals predict(), which reads the counts, and the leaves' majority()."""
+    """Per-row infer() equals predict(), which reads the counts, and the leaves' majority class."""
     answers = [tree.infer(x) for x in X]
     assert answers == tree.predict(X).tolist()
-    assert answers == [tree.arena[tree.sort_to_leaf(x)].stats.majority() for x in X]
+    counts = tree.view().class_counts
+    assert answers == [int(counts[tree.sort_to_leaf(x)].argmax()) for x in X]
 
 
 @settings(max_examples=60, deadline=None)
@@ -279,7 +282,7 @@ def test_cached_answers_follow_every_writer(data):
     )
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     tree = Tree(params)
-    steps = st.sampled_from(["learn", "bundle", "train", "reload", "assign", "view"])
+    steps = st.sampled_from(["learn", "bundle", "train", "reload", "assign", "add"])
     for step in data.draw(st.lists(steps, min_size=1, max_size=10), label="steps"):
         # classes in overlapping bands along both attributes, so leaves mix
         # classes and split until the arena fills
@@ -300,16 +303,17 @@ def test_cached_answers_follow_every_writer(data):
         elif step == "reload":
             tree = deserialize(serialize(tree))
         elif step == "assign":
-            stats = LeafStats(params)
-            stats.class_counts[:] = rng.integers(0, 50, 3)
-            stats.frozen = tree.arena[leaf].stats.frozen
-            tree.arena[leaf].stats = stats
+            # a fresh leaf's statistics with random counts, loaded from an edited snapshot
+            tree = reloaded(tree, leaf, class_counts=rng.integers(0, 50, 3), sketch_estimates=0,
+                            since_last_attempt=0)
         else:
-            tree.arena[leaf].stats.class_counts[int(rng.integers(3))] += int(rng.integers(1, 30))
+            counts = tree.view().class_counts[leaf].copy()
+            counts[int(rng.integers(3))] += int(rng.integers(1, 30))
+            tree = reloaded(tree, leaf, class_counts=counts)
         # the step's rows, the thresholds and +-0.0 on either attribute
-        cuts = [tree.arena[i].split_value for i in range(tree.node_count)
-                if tree.arena[i].stats is None]
-        grid = np.array(cuts + [0.0, -0.0], dtype=np.float32)
+        view = tree.view()
+        cuts = view.split_value[view.kind == 1]
+        grid = np.concatenate([cuts, np.float32([0.0, -0.0])])
         probes = np.concatenate([X, rng.choice(grid, size=(20, 2))])
         assert_answers_current(tree, probes)
 
@@ -323,15 +327,80 @@ def test_read_only_queries_keep_the_cached_answer():
     for i in range(40):
         tree.train(Sample(rng.normal(size=2), i % 3 % 2))
     answer = tree.infer(np.zeros(2))
-    stats = tree.arena[0].stats
-    assert stats.cdf(1, 0, 0.5) > 0.0
-    assert stats.total == 40
+    view = tree.view()
+    assert view.class_counts[0].tolist() == [27, 13, 0]
+    assert view.sketch_estimates[0, 1].min() < 0.5 < view.sketch_estimates[0, 1].max()
     assert tree.attempt_split(0) is None and tree.node_count == 1
     assert tree._pool.answer[0] == answer
-    # a writer's read still drops it
-    stats.class_counts[2] += 30
+    # a writer still drops it
+    tree.learn(np.zeros((30, 2), dtype=np.float32), np.full(30, 2), np.ones(30, dtype=bool))
     assert tree._pool.answer[0] == -1
     assert tree.infer(np.zeros(2)) == 2
+
+
+# ---------------------------------------------------------------- view
+
+
+def view_tree():
+    """A D=3 K=5 tree of 7 nodes, full, so that some of its leaves are frozen."""
+    tree = Tree(Hyperparams(dims=3, classes=5, n_min=50, tau=0.1, max_nodes=7))
+    for s in generate_clusters(DatasetSpec(5, 3, 6000, 0.3, seed=3)):
+        tree.train(s)
+    view = tree.view()
+    assert tree.node_count == 7 and view.frozen.any()
+    return tree
+
+
+def test_view_is_a_read_only_copy():
+    tree = view_tree()
+    before = bytes(serialize(tree))
+    view = tree.view()
+    for name, array in zip(view._fields, view):
+        assert len(array) == tree.node_count and not array.flags.writeable, name
+        assert not np.shares_memory(array, tree._pool.array), name
+        assert not np.shares_memory(array, tree._pool.since), name
+        with pytest.raises(ValueError, match="read-only"):
+            array[-1] = 1
+    assert bytes(serialize(tree)) == before
+
+
+def test_view_agrees_with_the_snapshot_and_its_load():
+    tree = view_tree()
+    buf = serialize(tree)
+    written = _records(buf, tree.params, tree.node_count)
+    view, loaded = tree.view(), deserialize(buf).view()
+    assert view.kind.any() and view.since_last_attempt.any()
+    for name, mine, theirs in zip(view._fields, view, loaded):
+        assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes(), name
+        assert np.array_equal(mine, written[name]), name
+
+
+def test_reading_a_view_keeps_the_cached_answers():
+    tree = view_tree()
+    X = np.random.default_rng(4).uniform(-3, 3, (200, 3)).astype(np.float32)
+    answers = [tree.infer(x) for x in X]
+    cached = list(tree._pool.answer)
+    assert sum(a >= 0 for a in cached) > 3
+    view = tree.view()
+    assert [int(view.class_counts[tree.sort_to_leaf(x)].argmax()) for x in X] == answers
+    assert tree._pool.answer == cached
+
+
+def test_a_view_taken_before_a_split_is_kept_as_it_was():
+    tree = Tree(small_params(n_min=50))
+    stream = two_class_stream(400, np.random.default_rng(11))
+    for s in stream[:40]:
+        tree.train(s)
+    view = tree.view()
+    kept = [array.copy() for array in view]
+    for s in stream[40:]:
+        tree.train(s)
+    assert tree.node_count > 1 and len(tree._pool.array) > 1
+    before = bytes(serialize(tree))
+    for name, array, copy in zip(view._fields, view, kept):
+        assert array.tobytes() == copy.tobytes(), name
+    assert view.class_counts.sum() == 40 and view.kind.tolist() == [0]
+    assert bytes(serialize(tree)) == before
 
 
 # ---------------------------------------------------------------- training
@@ -340,9 +409,9 @@ def test_read_only_queries_keep_the_cached_answer():
 def test_train_returns_pre_update_prediction():
     tree = Tree(small_params(classes=4))
     assert tree.train(Sample([0.0, 0.0], label=2)) == 0
-    stats = tree.arena[0].stats
-    assert stats.class_counts.tolist() == [0, 0, 1, 0]
-    assert stats.since_last_attempt == 1
+    view = tree.view()
+    assert view.class_counts[0].tolist() == [0, 0, 1, 0]
+    assert view.since_last_attempt[0] == 1
     snapshot = _records(serialize(tree), tree.params, tree.node_count)
     assert snapshot["sketch_counts"][0, 2].tolist() == [1, 1]
     # second sample of the same class is now predicted as that class
@@ -363,7 +432,7 @@ def test_pure_stream_never_splits():
     for _ in range(600):
         tree.train(Sample(rng.normal(size=2), label=0))
     assert tree.node_count == 1
-    assert tree.arena[0].stats.since_last_attempt < 50  # attempts did run
+    assert tree.view().since_last_attempt[0] < 50  # attempts did run
 
 
 def two_class_stream(n, rng, sep_attr=0, dims=2, gap=2.0, noise=0.1):
@@ -385,12 +454,11 @@ def test_separable_stream_splits_root_on_separating_attribute():
         if tree.node_count > 1:
             break
     assert tree.node_count == 3  # one split: root plus two fresh leaves
-    root = tree.arena[tree.root]
-    assert root.stats is None
-    assert root.split_attr == 0
-    assert -1.5 < root.split_value < 1.5  # between the class centers
-    assert tree.arena[root.left].stats is not None
-    assert tree.arena[root.right].stats is not None
+    view = tree.view()
+    assert view.kind.tolist() == [1, 0, 0]
+    assert view.split_attr[tree.root] == 0
+    assert -1.5 < view.split_value[tree.root] < 1.5  # between the class centers
+    assert (view.left[tree.root], view.right[tree.root]) == (1, 2)
 
 
 def test_grace_period_counter_resets_after_attempt():
@@ -400,7 +468,7 @@ def test_grace_period_counter_resets_after_attempt():
     for _ in range(100):
         tree.train(Sample(rng.normal(size=2), label=1))
     assert tree.node_count == 1
-    assert tree.arena[0].stats.since_last_attempt == 0
+    assert tree.view().since_last_attempt[0] == 0
 
 
 # ---------------------------------------------------------------- splits
@@ -431,7 +499,7 @@ def test_attempt_split_refuses_indices_outside_the_nodes(index):
     with pytest.raises(ValueError, match=rf"node {index} is not an index in \[0, 7\)"):
         tree.attempt_split(index)
     assert tree._pool.array.tobytes() == array.tobytes()
-    assert tree.attempt_split(np.int64(3)) is None and tree.arena[3].stats.frozen
+    assert tree.attempt_split(np.int64(3)) is None and tree.view().frozen[3]
 
 
 def test_attempt_split_pure_leaf_returns_none():
@@ -449,16 +517,16 @@ def test_capacity_guard_freezes_leaf():
     for s in two_class_stream(400, rng, sep_attr=0, dims=1):
         tree.train(s)
     assert tree.node_count == 3  # == max_nodes - 1
-    right = tree.arena[tree.arena[tree.root].right]
     # drive a separable two-class mixture into the right child
     for i in range(400):
         label = i % 2
         tree.train(Sample([1.0 + label * 1.0 + rng.normal(0, 0.05)], label))
     assert tree.node_count == 3
+    view = tree.view()
     frozen = [
-        tree.arena[i].stats.frozen
+        view.frozen[i]
         for i in tree.leaf_indices()
-        if tree.arena[i].stats.total > 0
+        if view.class_counts[i].sum() > 0
     ]
     assert any(frozen)
 
@@ -468,10 +536,10 @@ def test_frozen_leaf_keeps_absorbing():
     rng = np.random.default_rng(4)
     for s in two_class_stream(100, rng):
         tree.train(s)
-    stats = tree.arena[0].stats
+    view = tree.view()
     assert tree.node_count == 1
-    assert stats.frozen
-    assert stats.total == 100
+    assert view.frozen[0]
+    assert view.class_counts[0].sum() == 100
 
 
 # ---------------------------------------------------------------- gain
@@ -627,21 +695,23 @@ def test_leaf_conservation_shadow_oracle():
         leaf = tree.sort_to_leaf(s.features)
         shadow[leaf] = shadow.get(leaf, 0) + 1
         tree.train(s)
-        if tree.arena[leaf].stats is None:  # split consumed this leaf
+        if leaf not in tree.leaf_indices():  # split consumed this leaf
             del shadow[leaf]
+    totals = tree.view().class_counts.sum(axis=1)
     for idx in tree.leaf_indices():
-        assert tree.arena[idx].stats.total == shadow.get(idx, 0)
+        assert totals[idx] == shadow.get(idx, 0)
 
 
 def structure_counts(tree):
+    view = tree.view()
     stack, leaves, internals = [tree.root], 0, 0
     while stack:
-        node = tree.arena[stack.pop()]
-        if node.stats is not None:
+        idx = stack.pop()
+        if not view.kind[idx]:
             leaves += 1
         else:
             internals += 1
-            stack.extend((node.left, node.right))
+            stack.extend((view.left[idx], view.right[idx]))
     return leaves, internals
 
 
@@ -762,11 +832,11 @@ def leaves_at_split_attempts(params, spec):
 
     class Recording(Tree):
         def attempt_split(self, leaf_idx):
-            stats = self.arena[leaf_idx].stats
-            if not stats.frozen and np.count_nonzero(stats.class_counts) >= 2:
+            view = self.view()
+            if not view.frozen[leaf_idx] and np.count_nonzero(view.class_counts[leaf_idx]) >= 2:
                 copy = LeafStats(self.params)
-                copy.class_counts[:] = stats.class_counts
-                copy.sketch_estimates[:] = stats.sketch_estimates
+                copy.class_counts[:] = view.class_counts[leaf_idx]
+                copy.sketch_estimates[:] = view.sketch_estimates[leaf_idx]
                 leaves.append(copy)
             return super().attempt_split(leaf_idx)
 
@@ -872,10 +942,10 @@ def test_identical_columns_split_on_first_at_first_best_candidate():
     cands = scalar_split_candidates(stats, 0, params.n_pt)
     gains = [scalar_split_gain(stats, 0, float(v)) for v in cands]
     assert cands[0] == 0.0 and gains.count(max(gains)) >= 2 and gains[0] == max(gains)
-    tree = Tree(params)
-    tree.arena[0].stats = stats
+    tree = reloaded(Tree(params), 0, class_counts=stats.class_counts,
+                    sketch_estimates=stats.sketch_estimates)
     assert tree.attempt_split(0) == (0, 0.0)
-    assert tree.arena[0].split_attr == 0 and tree.arena[0].split_value == 0.0
+    assert tree.view().split_attr[0] == 0 and tree.view().split_value[0] == 0.0
 
 
 # knots a snapshot or a long stream may hold: signed zeros, the f32 extremes,

@@ -27,9 +27,9 @@ process per side, and compares them:
 - resumed trees: acceptance seed 2 (12,000 rows) at n_min 7 and 50,
   whose first 2,000 rows go in as single train() calls, after which
   every non-frozen leaf's samples-since-attempt counter is set to
-  n_min - 1, n_min or 3 n_min + 1. Only a snapshot can hold a counter
-  at or past n_min on a leaf that may still split, and a tree trained
-  from empty never does.
+  n_min - 1, n_min or 3 n_min + 1 in the tree's snapshot. Only a
+  snapshot can hold a counter at or past n_min on a leaf that may still
+  split, and a tree trained from empty never does.
 
 It also hashes nine generator streams on each side, on which no tree is
 trained: the populations of the three benchmark workloads (D=3 K=5 at
@@ -58,6 +58,9 @@ and the batched predict() must agree on probe rows: the stream's rows,
 random rows, and rows made of the thresholds and of +-0.0. A side without
 Tree.predict answers those with per-row infer(). The script prints the
 tree, node and frozen-leaf counts and every mismatch, and exits 1 on any.
+The thresholds, the frozen leaves and the resumed trees' counters are
+read and set in snapshot records, which every side since the record
+layout shares.
 Of the 157 streams it compares, 148 feed trees and nine are the
 generator streams above.
 The corpora are those of tests/test_learn.py and tests/test_acceptance.py,
@@ -199,19 +202,29 @@ def stream_only(st):
             yield f"stream-d{dims}-{samples}", st.generate_clusters(D(7, dims, samples, 0.5, seed=dims))
 
 
+def records(st, tree):
+    """A writable copy of tree's snapshot and a record view of its used slots.
+
+    Both sides' snapshots share one layout, so what is read or set here
+    means the same on either.
+    """
+    from streamtree.serialize import _records
+
+    buf = bytearray(st.serialize(tree))
+    return buf, _records(buf, tree.params, tree.node_count)
+
+
 def resumed(st, params, warmup, count) -> bytes:
     """Snapshot of a tree fed warmup as single train() calls.
 
-    Then each non-frozen leaf's samples-since-attempt counter is set to count.
+    In it, each non-frozen leaf's samples-since-attempt counter is set to count.
     """
     tree = st.Tree(params)
     for s in warmup:
         tree.train(s)
-    for i in tree.leaf_indices():
-        stats = tree.arena[i].stats
-        if not stats.frozen:
-            stats.since_last_attempt = count
-    return bytes(st.serialize(tree))
+    buf, rec = records(st, tree)
+    rec["since_last_attempt"][(rec["kind"] == 0) & (rec["frozen"] == 0)] = count
+    return bytes(buf)
 
 
 def sha(data) -> str:
@@ -229,13 +242,12 @@ def stream_digest(stream, np) -> str:
     return sha(repr(features.shape).encode() + features.tobytes() + labels.tobytes() + flags.tobytes())
 
 
-def probe_rows(tree, stream, np):
+def probe_rows(st, tree, stream, np):
     """The stream's rows, random rows, and rows of every threshold and +-0.0."""
     dims = tree.params.dims
     rng = np.random.default_rng(dims)
-    thresholds = [tree.arena[i].split_value for i in range(tree.node_count)
-                  if tree.arena[i].stats is None]
-    values = np.array(thresholds + [0.0, -0.0], dtype=np.float32)
+    _, rec = records(st, tree)
+    values = np.concatenate([rec["split_value"][rec["kind"] == 1], np.float32([0.0, -0.0])])
     return np.concatenate([
         np.array([s.features for s in stream], dtype=np.float32).reshape(-1, dims),
         rng.normal(0, 3, (500, dims)).astype(np.float32),
@@ -273,7 +285,7 @@ def worker(src: str) -> None:
         answers = [tree.train(s) if s.train else tree.infer(s.features) for s in stream]
         out[f"{name}/single"] = [sha(answers), sha(st.serialize(tree))]
 
-        X = probe_rows(tree, stream, np)
+        X = probe_rows(st, tree, stream, np)
         for side, t in (("live", tree), ("loaded", st.deserialize(st.serialize(tree)))):
             infer = [t.infer(x) for x in X]
             batched = t.predict(X).tolist() if hasattr(t, "predict") else infer
@@ -281,7 +293,7 @@ def worker(src: str) -> None:
             out[f"{name}/{side}/sort_to_leaf"] = sha([t.sort_to_leaf(x) for x in X])
             out[f"{name}/{side}/predict"] = sha(batched)
         nodes += tree.node_count
-        frozen += sum(bool(tree.arena[i].stats.frozen) for i in tree.leaf_indices())
+        frozen += int(np.count_nonzero(records(st, tree)[1]["frozen"]))
         print(f"{src}: {name}", file=sys.stderr, flush=True)
     for name, stream in stream_only(st):
         streams[name] = stream_digest(stream, np)
