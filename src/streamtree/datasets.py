@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .tree import Sample, _check_integer, _name_odd_row
+from .tree import Sample, _as_f32, _check_integer, _check_real, _name_odd_row
 
 __all__ = [
     "DatasetSpec",
@@ -37,9 +37,10 @@ __all__ = [
 class DatasetSpec:
     """Recipe for a synthetic clustered stream.
 
-    clusters, dims, samples and seed take Python or numpy integers; a field
-    out of range, a spread or box that is not finite among them, raises a
-    ValueError that names it.
+    clusters, dims, samples and seed take Python or numpy integers, and
+    cluster_spread and center_box real numbers; a field that is not one,
+    or is out of range, a spread or box that is not finite among them,
+    raises a ValueError that names it.
     """
 
     clusters: int
@@ -53,6 +54,8 @@ class DatasetSpec:
         _check_integer("clusters", self.clusters, 2)
         _check_integer("dims", self.dims, 1)
         _check_integer("samples", self.samples, 1)
+        for name in ("cluster_spread", "center_box"):
+            _check_real(name, getattr(self, name))
         if not self.cluster_spread > 0.0:
             raise ValueError("cluster_spread must be positive")
         for name in ("cluster_spread", "center_box"):
@@ -216,9 +219,10 @@ def write_samples_csv(samples: Sequence[Sample], path, header: bool = True) -> N
 
     Feature values are written with shortest f32 round-trip precision so a
     reload reproduces the stream bit for bit. A sample whose features are
-    not one row as long as sample 0's, or whose label is not a Python or
-    numpy integer, raises a ValueError that names it, before the file is
-    opened; no label is cast.
+    not one row as long as sample 0's or not finite as f32, which load_csv
+    would refuse, or whose label is not a Python or numpy integer, raises
+    a ValueError that names it, before the file is opened; no label is
+    cast.
     """
     if not samples:
         raise ValueError("nothing to write")
@@ -226,6 +230,8 @@ def write_samples_csv(samples: Sequence[Sample], path, header: bool = True) -> N
     for i, s in enumerate(samples):
         if not isinstance(s.label, (int, np.integer)):
             raise ValueError(f"sample {i}: label {s.label!r} is not an integer")
+        if not np.isfinite(_as_f32(s.features)).all():
+            raise ValueError(f"sample {i}: features must be finite")
     _write_rows(path, len(samples[0].features), ((s.features, s.label) for s in samples), header)
 
 

@@ -17,6 +17,7 @@ outside the tree writes them.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
@@ -58,6 +59,12 @@ def _check_integer(name: str, value, least: int | None = None) -> None:
         raise ValueError(f"{name} must be {'positive' if least == 1 else f'at least {least}'}")
 
 
+def _check_real(name: str, value) -> None:
+    """Raise a ValueError naming the parameter unless value is a real number; a bool is refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Hyperparams:
     """Tunable constants of the learner.
@@ -67,7 +74,8 @@ class Hyperparams:
     between split attempts, n_pt the number of candidate thresholds tried
     per attribute, and max_nodes the hard arena capacity. The integer
     fields take Python or numpy integers, kept as Python ints, not bools
-    or floats; a value that is out of range, tau NaN included, raises a
+    or floats, and delta, lam and tau real numbers, not bools; a value
+    that is not one, or is out of range, tau NaN included, raises a
     ValueError that names the field.
     """
 
@@ -84,6 +92,8 @@ class Hyperparams:
     def __post_init__(self) -> None:
         _check_integer("dims", self.dims, 1)
         _check_integer("classes", self.classes, 2)
+        for name in ("delta", "lam", "tau"):
+            _check_real(name, getattr(self, name))
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
         if not self.lam > 0.0:
@@ -760,8 +770,9 @@ class Tree:
         """X as f32 rows checked for predict(), or with labels and a train mask, the rows learn() takes.
 
         X must be (rows, dims) and finite. Labels and the train mask, when
-        given, must be as many integers and bools, and every train row's
-        label a class index; the labels of the other rows are never read.
+        given, must be as many integers and bools, or with no rows any
+        empty arrays, and every train row's label a class index; the
+        labels of the other rows are never read.
         The first fault found, in that order, raises a ValueError that
         names the sample when one row is at fault, a row that is not dims
         numbers among them; nothing changes before.
@@ -778,10 +789,12 @@ class Tree:
             raise ValueError(f"expected rows of {dims} features, got shape {X.shape}")
         if train is not None:
             n = len(X)
-            train = np.asarray(train)
+            train, labels = np.asarray(train), np.asarray(labels)
+            if not n and train.shape == labels.shape == (0,):
+                # numpy makes an empty list float64; an empty chunk has nothing to check
+                return X, labels.astype(np.intp), train.astype(bool)
             if train.shape != (n,) or train.dtype != bool:
                 raise ValueError(f"train_mask must be {n} bools, got {train.dtype} {train.shape}")
-            labels = np.asarray(labels)
             if labels.shape != (n,) or labels.dtype.kind not in "iub":
                 raise ValueError(f"labels must be {n} integers, got {labels.dtype} {labels.shape}")
         if not np.isfinite(X).all():

@@ -187,6 +187,10 @@ CELLS = [
     ("learn", "numpy labels", lambda t: t.learn(ROWS, np.array([0, 1, 2], np.uint8), TRAIN),
      Accepts(lambda t: t.learn(ROWS, [0, 1, 2], TRAIN))),
     ("learn", "empty", lambda t: t.learn(np.zeros((0, 2)), np.zeros(0, np.int64), TRAIN[:0]), Accepts(lambda t: [])),
+    ("learn", "empty lists", lambda t: t.learn(np.zeros((0, 2)), [], []), Accepts(lambda t: [])),
+    ("learn", "empty float mask", lambda t: t.learn(np.zeros((0, 2)), [], np.zeros(0)), Accepts(lambda t: [])),
+    ("learn", "float mask", lambda t: t.learn(ROWS, [0, 1, 2], np.ones(3)), r"^train_mask must be 3 bools, got float64 \(3,\)$"),
+    ("learn", "short empty list", lambda t: t.learn(np.zeros((1, 2)), [], []), r"^train_mask must be 1 bools, got float64 \(0,\)$"),
     # process_bundle: samples, the odd one put in after construction
     ("process_bundle", "wrong shape", lambda t: process_bundle(t, bundle(Sample([0.1, 0.2, 0.3], 2))),
      r"^sample 2: expected 2 features, got shape \(3,\)$"),
@@ -264,7 +268,8 @@ CELLS = [
     ("write_samples_csv", "label '1'", lambda t: write([Sample(X), Sample(X, "1")]), "^sample 1: label '1' is not an integer$"),
     ("write_samples_csv", "label -1", lambda t: write([Sample(X), Sample(X, -1)]), Accepts(lambda t: "0.1,0.2,-1")),
     ("write_samples_csv", "numpy label", lambda t: write([Sample(X), Sample(X, np.int64(7))]), Accepts(lambda t: "0.1,0.2,7")),
-    ("write_samples_csv", "nan", lambda t: write([Sample(X), Sample([NAN, 0.2])]), Accepts(lambda t: "nan,0.2,0")),
+    ("write_samples_csv", "nan", lambda t: write([Sample(X), Sample([NAN, 0.2])]), f"^sample 1: {FINITE}$"),
+    ("write_samples_csv", "past f32", lambda t: write([Sample(X), raw([0.1, 3e39])]), f"^sample 1: {FINITE}$"),
     ("write_samples_csv", "empty", lambda t: write([]), "^nothing to write$"),
     # deserialize: a buffer is read as bytes, whatever its item size
     ("deserialize", "wide items", lambda t: bytes(serialize(deserialize(memoryview(serialize(t)).cast("H")))),
@@ -288,6 +293,12 @@ CELLS = [
     ("Hyperparams", "delta nan", lambda t: params(delta=NAN), r"^delta must lie in \(0, 1\)$"),
     ("Hyperparams", "lam nan", lambda t: params(lam=NAN), "^lam must be positive$"),
     ("Hyperparams", "lam 1e-50", lambda t: params(lam=1e-50), "^sketch step 1e-50 gives f32 increments of 0 or inf$"),
+    ("Hyperparams", "tau 'x'", lambda t: params(tau="x"), "^tau must be a real number, got 'x'$"),
+    ("Hyperparams", "delta None", lambda t: params(delta=None), "^delta must be a real number, got None$"),
+    ("Hyperparams", "lam '0.01'", lambda t: params(lam="0.01"), "^lam must be a real number, got '0.01'$"),
+    ("Hyperparams", "tau True", lambda t: params(tau=True), "^tau must be a real number, got True$"),
+    ("Hyperparams", "numpy floats", lambda t: params(delta=np.float64(0.001), lam=np.float64(0.01), tau=np.float32(0.5)),
+     Accepts(lambda t: params(tau=0.5))),
     ("Hyperparams", "numpy integers", lambda t: params(dims=np.int64(2), n_min=np.uint16(5), max_nodes=np.int32(15)),
      Accepts(lambda t: PARAMS)),
     ("Hyperparams", "narrow numpy integers", lambda t: grown(params(n_min=np.uint8(200), max_nodes=np.int16(255))),
@@ -298,6 +309,10 @@ CELLS = [
     ("DatasetSpec", "center_box inf", lambda t: spec(center_box=INF), "^center_box must be finite$"),
     ("DatasetSpec", "cluster_spread inf", lambda t: spec(cluster_spread=INF), "^cluster_spread must be finite$"),
     ("DatasetSpec", "cluster_spread nan", lambda t: spec(cluster_spread=NAN), "^cluster_spread must be positive$"),
+    ("DatasetSpec", "cluster_spread 'x'", lambda t: spec(cluster_spread="x"), "^cluster_spread must be a real number, got 'x'$"),
+    ("DatasetSpec", "center_box None", lambda t: spec(center_box=None), "^center_box must be a real number, got None$"),
+    ("DatasetSpec", "numpy floats", lambda t: spec(cluster_spread=np.float32(0.5), center_box=np.float64(3.0)),
+     Accepts(lambda t: spec(cluster_spread=0.5, center_box=3.0))),
     ("DatasetSpec", "samples 2.5", lambda t: spec(samples=2.5), r"^samples must be an integer, got 2\.5$"),
     ("DatasetSpec", "clusters 2.0", lambda t: spec(clusters=2.0), r"^clusters must be an integer, got 2\.0$"),
     ("DatasetSpec", "seed -1", lambda t: spec(seed=-1), "^seed must be at least 0$"),
