@@ -270,9 +270,8 @@ class _Records:
     def reserve(self, slots: int, limit: int) -> None:
         """Make room for at least slots slots, growing by doubling up to limit.
 
-        New slots are zero, their answers unknown. The arrays are replaced
-        and counts, sketch and frozen bound to the new ones, so a view of
-        the old arrays taken before a reserve() is stale after it."""
+        New slots are zero, their answers unknown. The arrays are replaced,
+        and counts, sketch and frozen bound to the new ones."""
         have = len(self.array)
         if slots <= have:
             return
@@ -707,14 +706,14 @@ class Tree:
     """Fixed-capacity incremental decision tree; a fresh tree is one empty leaf.
 
     Its at most max_nodes nodes live in one record array in the snapshot
-    layout (_Records), of which view() makes read-only copies. One-row calls read two
-    Python lists beside it: _nodes, a mirror of the kind and split fields
-    that _leaf() descends, and the records' answer list. Calls of many
-    rows descend _table, aligned arrays of the split fields and the
-    tree's depth (see _routing_table): the first such call after a split
-    or a load builds it from _nodes, and _split drops it, since every
-    split changes it. Children follow their parent, so the root is node
-    0. One writer at a time.
+    layout (_Records), of which view() makes read-only copies. One-row
+    calls read two Python lists beside it: _nodes, a mirror of the kind
+    and split fields that _leaf() descends, and the records' answer list.
+    Calls of many rows descend _table, aligned arrays of the split fields
+    and the tree's depth (see _routing_table): the first such call after
+    a split or a load builds it from _nodes, and _split drops it, since
+    every split changes it. Children follow their parent, so the root is
+    node 0. One writer at a time.
     """
 
     root = 0
@@ -737,6 +736,7 @@ class Tree:
         changes nothing in the tree.
         """
         n, pool = self.node_count, self._pool
+        # every field but the live count is the record field of its name
         fields = [pool.array[name][:n].copy() for name in TreeView._fields[:-1]]
         fields.append(pool.since[:n].copy())
         for field in fields:
