@@ -3,10 +3,11 @@
 A tree has no public writer of its statistics. A state a snapshot can
 hold goes in through one: reloaded() edits the records of serialize()'s
 buffer and loads it, so the state passes every check deserialize()
-makes. set_leaf() writes the live records instead, for a samples-since-
-attempt count the snapshot's u32 cannot hold, and where the same tree
-must carry on. Either takes a leaf index or a list of them, and writes
-each given field to every one of those leaves.
+makes. set_leaf() writes the live records instead: for a samples-since-
+attempt count the snapshot's u32 cannot hold, where the same tree must
+carry on, and where a loaded tree would learn otherwise, since a
+snapshot holds lam and delta as f32. Either takes a leaf index or a
+list of them, and writes each given field to every one of those leaves.
 """
 
 import numpy as np

@@ -3,9 +3,9 @@
 The reference below is the per-sample infer-then-train loop that preceded
 the kernel (LeafStats with arrays of its own, Tree.train routing, predicting,
 absorbing and attempting one sample at a time), kept verbatim apart from
-the class names and the name of its node list, nodes. Split evaluation is shared, since it is not what changed.
-The kernel must give the same answers and, byte for byte, the same
-snapshots.
+the class names and the name of its node list, nodes. Split evaluation is
+shared, since it is not what changed. The kernel must give the same
+answers and, byte for byte, the same snapshots.
 """
 
 import math
