@@ -159,7 +159,8 @@ def load_csv(path, schema: CsvSchema) -> list[Sample]:
 
     Raises ValueError naming the offending line for short rows, non-numeric
     or non-finite values in numeric columns (cells beyond the f32 range
-    included), and label cardinality above schema.classes.
+    included), an empty or blank label cell, and label cardinality above
+    schema.classes.
     """
     samples: list[Sample] = []
     label_codes: dict[str, int] = {}
@@ -204,10 +205,13 @@ def load_csv(path, schema: CsvSchema) -> list[Sample]:
                         f"line {line}: non-finite value {row[feature_idx[j]]!r} "
                         f"in column {schema.features[j]!r}"
                     )
-                label = label_codes.setdefault(row[label_idx], len(label_codes))
+                cell = row[label_idx]
+                if not cell.strip():
+                    raise ValueError(f"line {line}: empty label {cell!r} in column {schema.label!r}")
+                label = label_codes.setdefault(cell, len(label_codes))
                 if schema.classes is not None and label >= schema.classes:
                     raise ValueError(
-                        f"line {line}: label {row[label_idx]!r} raises cardinality "
+                        f"line {line}: label {cell!r} raises cardinality "
                         f"above {schema.classes}"
                     )
                 samples.append(Sample(features, label, True))

@@ -321,7 +321,7 @@ class _Records:
         """
         classes = self.counts.shape[1]
         keys = slots * classes + labels
-        if len(keys) == 1 or (keys == keys[0]).all():
+        if len(keys) == 1 or not np.count_nonzero(keys != keys[0]):
             self.absorb_cell(int(slots[0]), int(labels[0]), x)
             return
         cells, sizes, rows, ends = _prefix_waves(keys)
@@ -476,15 +476,20 @@ def _prefix_waves(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     and where each wave ends.
     """
     n = len(keys)
-    order, grouped, head = _grouped(keys)
-    group = head.cumsum() - 1
-    heads = head.nonzero()[0]
-    rank = np.arange(n) - heads[group]
-    size = np.bincount(group)
+    order = keys.argsort(kind="stable")
+    grouped = keys[order]
+    # bounds: where each run of equal keys starts, and n
+    head = np.empty(n + 1, dtype=bool)
+    head[0] = head[n] = True
+    np.not_equal(grouped[1:], grouped[:-1], out=head[1:n])
+    bounds = head.nonzero()[0]
+    size = bounds[1:] - bounds[:-1]
+    each = size.repeat(size)
+    rank = np.arange(n) - bounds[:-1].repeat(size)
     # by rank, then by size down: rank * n - size orders both, since size <= n
-    waves = (rank * n - size[group]).argsort(kind="stable")
-    firsts = waves[: len(heads)]
-    return grouped[firsts], size[group[firsts]], order[waves], np.bincount(rank).cumsum().tolist()
+    waves = (rank * n - each).argsort(kind="stable")
+    firsts = waves[: len(size)]
+    return grouped[firsts], each[firsts], order[waves], np.bincount(rank).cumsum().tolist()
 
 
 def _index(i, size: int, what: str) -> int:
@@ -822,7 +827,9 @@ class Tree:
         flags = [s.train for s in samples]
         try:
             X = _as_f32(np.array([s.features for s in samples]))
-            labels = np.array([s.label if f else 0 for s, f in zip(samples, flags)])
+            # an infer row's label is never read; one that is not an integer
+            # takes the sample-by-sample path
+            labels = np.array([s.label for s in samples])
             ok = X.shape == (len(samples), dims) and labels.dtype.kind in "iub"
         except (TypeError, ValueError):
             ok = False
@@ -1044,15 +1051,38 @@ class Tree:
 
         Row i sees its leaf's counts as the segment began plus the labels
         of the segment's earlier train rows at that leaf, a running count
-        per leaf; argmax ties go to the lowest class, as in majority(). The
-        rows are grouped by leaf, and the running counts are one cumulative
-        sum over the groups, less its value where each group starts, in
-        int32, since a block holds at most _BLOCK_ROWS rows.
+        per leaf; argmax ties go to the lowest class, as in majority().
+
+        Most segments change no leaf's answer, and a test on per-leaf
+        arrays shows it. Take a leaf whose majority m leads the runner-up
+        class by lead, and let b count the segment's train rows there whose
+        label is not m, the last row aside, since no row comes after it.
+        Every other class's running count stays at most the runner-up's
+        plus b, so below m's when b < lead; when b = 0 only m's count
+        grows, and m, the lowest of any tied classes, stays the answer.
+        When every leaf passes, each row gets its leaf's majority.
+        Otherwise the rows are grouped by leaf, and the running counts are
+        one cumulative sum over the groups, less its value where each group
+        starts, in int32, since a block holds at most _BLOCK_ROWS rows.
         """
         counts = self._pool.counts
         rows = train[:-1].nonzero()[0]
         if not rows.size:
             return counts[leaf].argmax(axis=1)
+        # per leaf of the segment: its majority, by node index, its counts
+        # sorted (the lead is the last minus the one before), and the count
+        # of its earlier train rows whose label is not the majority
+        per = np.bincount(leaf)
+        leaves = per.nonzero()[0]
+        held = counts[leaves]
+        major = np.zeros(len(per), dtype=np.intp)
+        major[leaves] = held.argmax(axis=1)
+        held.sort(axis=1)
+        at = leaf[rows]
+        other = np.bincount(at, labels[rows] != major[at], len(per))[leaves]
+        # other < lead, or other = 0, at every leaf
+        if not np.count_nonzero(other >= np.maximum(held[:, -1] - held[:, -2], 1)):
+            return major[leaf]
         n = len(leaf)
         order, grouped, head = _grouped(leaf)
         place = np.empty(n, dtype=np.intp)

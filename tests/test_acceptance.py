@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from buffers import same_bytes
 
 from streamtree.datasets import (
     BANK_SCHEMA,
@@ -150,7 +151,7 @@ def test_criterion_3_bundle_single_equivalence():
             single_tree.train(s) if s.train else single_tree.infer(s.features)
             for s in stream
         ]
-        if got != want or serialize(bundle_tree) != serialize(single_tree):
+        if got != want or not same_bytes(serialize(bundle_tree), serialize(single_tree)):
             all_equal = False
             break
     check(3, all_equal,
@@ -400,7 +401,7 @@ def test_criterion_8_capacity_and_structure_fuzz():
 def round_trips_cleanly(tree, probes):
     buf = serialize(tree)
     back = deserialize(buf)
-    if serialize(back) != buf:
+    if not same_bytes(serialize(back), buf):
         return False
     return all(tree.infer(x) == back.infer(x) for x in probes)
 

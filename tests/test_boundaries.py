@@ -19,14 +19,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from buffers import same_bytes
 
 from streamtree import (
     Bundle,
+    CsvSchema,
     DatasetSpec,
     Hyperparams,
     Sample,
     Tree,
     deserialize,
+    load_csv,
     process_bundle,
     run_prequential,
     serialize,
@@ -88,6 +91,15 @@ def write(samples) -> str:
             assert not path.exists()
             raise
         return path.read_text().splitlines()[-1]
+
+
+def load(text: str) -> list:
+    """load_csv of text, as columns a and b and a label of at most two classes: (features, label) per sample."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "stream.csv"
+        path.write_text(text)
+        schema = CsvSchema(features=["a", "b"], label="label", classes=2)
+        return [(s.features.tolist(), s.label) for s in load_csv(path, schema)]
 
 
 def with_tau(snapshot: bytes, tau: float) -> bytes:
@@ -271,6 +283,18 @@ CELLS = [
     ("write_samples_csv", "nan", lambda t: write([Sample(X), Sample([NAN, 0.2])]), f"^sample 1: {FINITE}$"),
     ("write_samples_csv", "past f32", lambda t: write([Sample(X), raw([0.1, 3e39])]), f"^sample 1: {FINITE}$"),
     ("write_samples_csv", "empty", lambda t: write([]), "^nothing to write$"),
+    # load_csv: every refused row names its line
+    ("load_csv", "short row", lambda t: load("a,b,label\n1,2,x\n3,4\n"), "^line 3: row has 2 fields, need 3$"),
+    ("load_csv", "not numbers", lambda t: load("a,b,label\n1,x,y\n"), "^line 2: non-numeric value 'x' in column 'b'$"),
+    ("load_csv", "nan", lambda t: load("a,b,label\nnan,2,x\n"), "^line 2: non-finite value 'nan' in column 'a'$"),
+    ("load_csv", "past f32", lambda t: load("a,b,label\n1,1e39,x\n"), "^line 2: non-finite value '1e39' in column 'b'$"),
+    ("load_csv", "too many labels", lambda t: load("a,b,label\n1,2,x\n1,2,y\n1,2,z\n"),
+     "^line 4: label 'z' raises cardinality above 2$"),
+    ("load_csv", "empty file", lambda t: load(""), "^file is empty, expected a header row$"),
+    ("load_csv", "empty label", lambda t: load("a,b,label\n1,2,\n"), "^line 2: empty label '' in column 'label'$"),
+    ("load_csv", "blank label", lambda t: load("a,b,label\n1,2,x\n1,2, \n"), "^line 3: empty label ' ' in column 'label'$"),
+    ("load_csv", "labels in order", lambda t: load("a,b,label\n1,2,y\n\n3,4,x\n"),
+     Accepts(lambda t: [([1.0, 2.0], 0), ([3.0, 4.0], 1)])),
     # deserialize: a buffer is read as bytes, whatever its item size
     ("deserialize", "wide items", lambda t: bytes(serialize(deserialize(memoryview(serialize(t)).cast("H")))),
      Accepts(lambda t: bytes(serialize(t)))),
@@ -342,8 +366,8 @@ def test_boundary(snapshot, call, outcome):
     if isinstance(outcome, Accepts):
         twin = deserialize(snapshot)
         assert plain(call(tree)) == plain(outcome.twin(twin))
-        assert bytes(serialize(tree)) == bytes(serialize(twin))
+        assert same_bytes(serialize(tree), serialize(twin))
     else:
         with pytest.raises(ValueError, match=outcome):
             call(tree)
-        assert bytes(serialize(tree)) == snapshot
+        assert same_bytes(serialize(tree), snapshot)

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from buffers import same_bytes
 from leaves import reloaded, set_leaf
 
 import streamtree.tree as tree_module
@@ -237,7 +238,7 @@ def assert_kernel_matches_reference(params, stream, chunks):
     for chunk in chunks:
         got, got_bytes, tree = kernel_run(params, stream, chunk)
         assert got == want, f"answers differ at chunk size {chunk}"
-        assert got_bytes == want_bytes, f"snapshots differ at chunk size {chunk}"
+        assert same_bytes(got_bytes, want_bytes), f"snapshots differ at chunk size {chunk}"
     return want, ref
 
 
@@ -380,11 +381,11 @@ def test_kernel_matches_reference_property(data):
     want, want_bytes, _ = reference_run(params, stream)
     got, got_bytes, _ = kernel_run(params, stream, chunk)
     assert got == want
-    assert got_bytes == want_bytes
+    assert same_bytes(got_bytes, want_bytes)
     # train() takes its one-row case without the kernel
     tree = Tree(params)
     assert [tree.train(s) if s.train else tree.infer(s.features) for s in stream] == want
-    assert serialize(tree) == want_bytes
+    assert same_bytes(serialize(tree), want_bytes)
 
 
 @settings(max_examples=100, deadline=None)
@@ -420,7 +421,7 @@ def test_single_class_runs_match_reference_after_every_chunk(data):
         part = stream[start : start + chunk]
         want = [ref.train(s) if s.train else ref.infer(s.features) for s in part]
         assert process_bundle(tree, Bundle(part, chunk)) == want
-        assert serialize(tree) == reference_snapshot(ref)
+        assert same_bytes(serialize(tree), reference_snapshot(ref))
 
 
 def test_one_class_stream_makes_no_split_attempt(monkeypatch):
@@ -442,7 +443,7 @@ def test_one_class_stream_makes_no_split_attempt(monkeypatch):
         since = ref.nodes[0].stats.since_last_attempt
         assert tree.view().since_last_attempt[0] == since == (start + len(part)) % 10
     assert attempts == []
-    assert serialize(tree) == reference_snapshot(ref)
+    assert same_bytes(serialize(tree), reference_snapshot(ref))
 
 
 @pytest.mark.parametrize("max_nodes", [3, 7])
@@ -504,7 +505,7 @@ def test_counter_past_n_min_attempts_at_the_next_train_row(n_min, stored):
     assert got == want
     assert process_bundle(whole, Bundle(rest, len(rest))) == want
     snapshot = reference_snapshot(ref)
-    assert serialize(lone) == serialize(bundled) == serialize(whole) == snapshot
+    assert same_bytes(serialize(lone), serialize(bundled), serialize(whole), snapshot)
 
 
 @pytest.mark.parametrize("max_nodes", [15, 2047])
@@ -542,7 +543,7 @@ def test_attempts_one_and_two_rows_short_of_n_min(n_min, below, max_nodes):
     for start in range(0, len(rest), 8):
         got += process_bundle(tree, Bundle(rest[start : start + 8], 8))
     assert got == want
-    assert serialize(tree) == reference_snapshot(ref)
+    assert same_bytes(serialize(tree), reference_snapshot(ref))
     assert (ref.node_count, frozen_leaves(ref)) != before
 
 
@@ -609,7 +610,7 @@ def test_waves_run_on_full_shape_operands_within_their_bound(monkeypatch):
     narrow = Tree(params)
     narrow.learn(X, labels, np.ones(35, dtype=bool))
     assert shapes == [(5, False)] * 5 + [(4, False), (3, False), (2, True), (1, True)]
-    assert serialize(narrow) == serialize(wide)
+    assert same_bytes(serialize(narrow), serialize(wide))
 
 
 def test_learn_temporaries_stay_bounded_at_d54():
@@ -637,6 +638,60 @@ def test_learn_answers_infer_rows_without_training():
     # majority before each row: empty, {1}, {1}, {0, 1} tie -> 0, {0, 1, 1}
     assert tree.learn(X, labels, train).tolist() == [0, 1, 1, 0, 1]
     assert tree.view().class_counts[0].tolist() == [1, 2]
+
+
+# the majority's lead over the runner-up, from B, a leaf's minority train rows
+LEADS = {"0": lambda b: 0, "B-1": lambda b: max(b - 1, 0), "B": lambda b: b, "B+1": lambda b: b + 1}
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_segment_answers_match_reference_at_every_majority_lead(data):
+    # one segment, since no leaf reaches n_min, over the two leaves of a
+    # split root. At each leaf the majority m leads the runner-up r by 0,
+    # B - 1, B or B + 1, where B counts the segment's train rows there,
+    # but for its last row, whose label is not m. r may lie below or above
+    # m, so minority rows of r can tie m from either side; a tie answers
+    # the lower class. The kernel answers a leaf's rows with m only while
+    # B < lead, or B = 0, which takes these leads to both sides of the rule
+    classes = data.draw(st.integers(2, 4), label="classes")
+    params = Hyperparams(dims=1, classes=classes, n_min=10_000)
+    ref, bundled, learned = ReferenceTree(params), Tree(params), Tree(params)
+    for t in (ref, bundled, learned):
+        t._split(0, 0, 0.0)
+    label = st.integers(0, classes - 1)
+    warmup, segment, majors = [], [], {}
+    for x in (-1.0, 1.0):
+        major = data.draw(label, label="majority")
+        rival = data.draw(label.filter(lambda k: k != major), label="runner-up")
+        others = st.one_of(st.just(rival), label.filter(lambda k: k != major))
+        minority = data.draw(st.lists(others, max_size=5), label="minority labels")
+        lead = LEADS[data.draw(st.sampled_from(sorted(LEADS)), label="lead")](len(minority))
+        runner = data.draw(st.integers(0 if lead else 1, 3), label="runner-up count")
+        if not lead and rival < major:
+            # tied counts answer the lower class: swap the two labels throughout
+            swap = {major: rival, rival: major}
+            major, rival = rival, major
+            minority = [swap.get(k, k) for k in minority]
+        majors[x] = major
+        warmup += [Sample([x], major)] * (runner + lead) + [Sample([x], rival)] * runner
+        rows = [Sample([x], k) for k in minority]
+        rows += [Sample([x], major)] * data.draw(st.integers(0, 2), label="majority rows")
+        rows += [Sample([x], k, False) for k in data.draw(st.lists(label, max_size=3), label="infer")]
+        segment += rows
+    segment = data.draw(st.permutations(segment), label="order") or [Sample([1.0], 0, False)]
+    last = data.draw(st.sampled_from([None, -1.0, 1.0]), label="minority last row")
+    if last is not None:
+        segment.append(Sample([last], data.draw(label.filter(lambda k: k != majors[last]))))
+    for s in warmup:
+        for t in (ref, bundled, learned):
+            t.train(s)
+    want = [ref.train(s) if s.train else ref.infer(s.features) for s in segment]
+    assert process_bundle(bundled, Bundle(segment, len(segment))) == want
+    X = np.array([s.features for s in segment])
+    y = np.array([s.label for s in segment])
+    assert learned.learn(X, y, np.array([s.train for s in segment])).tolist() == want
+    assert same_bytes(reference_snapshot(ref), serialize(bundled), serialize(learned))
 
 
 # -------------------------------------------------------------- routing
@@ -724,7 +779,7 @@ def test_predict_matches_per_row_infer_on_a_large_tree():
         tree.predict(X)
     with pytest.raises(ValueError, match="expected rows of 3 features"):
         tree.predict(X[:, :2])
-    assert serialize(tree) == before
+    assert same_bytes(serialize(tree), before)
 
 
 def test_loaded_tree_keeps_learning_like_the_reference():
@@ -746,7 +801,7 @@ def test_loaded_tree_keeps_learning_like_the_reference():
     for start in range(10_000, len(stream), 128):
         got += process_bundle(tree, Bundle(stream[start : start + 128], 128))
     assert got == want
-    assert serialize(tree) == reference_snapshot(ref)
+    assert same_bytes(serialize(tree), reference_snapshot(ref))
     # splits before and after the reload
     assert 1 < loaded_nodes < tree.node_count
 
@@ -792,7 +847,7 @@ def test_bad_bundle_sample_leaves_tree_byte_identical(kind):
     bundle.samples[57] = bad_sample(kind)
     with pytest.raises(ValueError, match="sample 57"):
         process_bundle(tree, bundle)
-    assert serialize(tree) == before
+    assert same_bytes(serialize(tree), before)
 
 
 @pytest.mark.parametrize("kind", BAD_KINDS + ["not train"])
@@ -806,7 +861,7 @@ def test_bad_prequential_sample_leaves_tree_byte_identical(kind):
         stream[57] = bad_sample(kind)
     with pytest.raises(ValueError, match="sample 57"):
         run_prequential(tree, stream)
-    assert serialize(tree) == before
+    assert same_bytes(serialize(tree), before)
 
 
 def test_infer_only_samples_may_carry_any_label():
@@ -829,4 +884,4 @@ def test_learn_rejects_malformed_arrays():
     X[2, 1] = np.inf
     with pytest.raises(ValueError, match="sample 2"):
         tree.learn(X, y, ok)
-    assert serialize(tree) == before
+    assert same_bytes(serialize(tree), before)

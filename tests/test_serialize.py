@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from buffers import same_bytes
 from leaves import reloaded, set_leaf
 
 from streamtree.datasets import DatasetSpec, generate_clusters
@@ -42,7 +43,7 @@ def test_fresh_tree_round_trip():
         back.params.dims == params.dims and back.params.classes == params.classes
     )
     assert back.view().class_counts.sum() == 0
-    assert serialize(back) == buf
+    assert same_bytes(serialize(back), buf)
 
 
 def test_trained_tree_round_trip_predictions():
@@ -55,7 +56,7 @@ def test_trained_tree_round_trip_predictions():
     probes = rng.uniform(-3, 3, size=(1000, 3)).astype(np.float32)
     for x in probes:
         assert tree.infer(x) == back.infer(x)
-    assert serialize(back) == buf
+    assert same_bytes(serialize(back), buf)
     # the used records, then zeros up to the full capacity
     params = tree.params
     record = node_record_bytes(params.dims, params.classes, params.n_quantiles)
@@ -63,7 +64,7 @@ def test_trained_tree_round_trip_predictions():
     assert type(buf) is memoryview and buf.readonly
     assert buf.format == "B" and buf.c_contiguous
     assert len(buf) == model_bytes(params)
-    assert buf[used:] == bytes(len(buf) - used)
+    assert same_bytes(buf[used:], bytes(len(buf) - used))
 
 
 def test_snapshot_is_an_independent_readonly_buffer():
@@ -211,11 +212,11 @@ def test_frozen_flag_survives_round_trip():
     assert tree.view().frozen[0]
     back = deserialize(serialize(tree))
     assert back.view().frozen[0]
-    assert serialize(back) == serialize(tree)
+    assert same_bytes(serialize(back), serialize(tree))
 
 
 def test_serialization_deterministic_across_identical_runs():
-    assert serialize(trained_tree(seed=7)) == serialize(trained_tree(seed=7))
+    assert same_bytes(serialize(trained_tree(seed=7)), serialize(trained_tree(seed=7)))
 
 
 GOLDEN_ROWS = [
@@ -292,7 +293,7 @@ def test_deserialize_rejects_class_count_past_int64():
         else:
             back = deserialize(bytes(buf))
             assert back.infer([0.5]) == answer
-            assert serialize(back) == bytes(buf)
+            assert same_bytes(serialize(back), bytes(buf))
 
 
 def test_since_last_attempt_saturates_on_the_wire():
@@ -308,7 +309,7 @@ def test_since_last_attempt_saturates_on_the_wire():
         assert _records(buf, tree.params, tree.node_count)["since_last_attempt"][3] == 2**32 - 1
         back = deserialize(buf)
         assert back.view().since_last_attempt[3] == 2**32 - 1
-        assert serialize(back) == buf
+        assert same_bytes(serialize(back), buf)
 
 
 @pytest.mark.parametrize("value", [-5, 2**63, 2**64, 2.7, np.float64(3.0), True, np.int64(-1), "3", None],
@@ -323,7 +324,7 @@ def test_since_last_attempt_refuses_what_is_not_a_count(value):
     view = tree.view()
     with pytest.raises(ValueError, match="^assignment destination is read-only$"):
         view.since_last_attempt[0] = value
-    assert view.since_last_attempt[0] == 0 and bytes(serialize(tree)) == before
+    assert view.since_last_attempt[0] == 0 and same_bytes(serialize(tree), before)
     stats = LeafStats(tree.params)
     with pytest.raises(AttributeError):
         stats.since_last_attempt = value
@@ -357,7 +358,7 @@ def test_deserialize_counts_bytes_of_wide_item_buffers(form):
             deserialize(np.frombuffer(buf, np.uint16)[::2])
         return
     back = deserialize(WIDE_ITEMS[form](buf))
-    assert serialize(back) == buf
+    assert same_bytes(serialize(back), buf)
     x = np.array([1.0, -1.0], dtype=np.float32)
     assert back.sort_to_leaf(x) == tree.sort_to_leaf(x) == 3
 
@@ -391,7 +392,7 @@ def test_deserialize_ignores_knots_of_unseen_classes():
     buf, rec = editable(serialize(tree), tree)
     assert rec["class_counts"][4, 1] == 0
     rec["sketch_estimates"][4, 1, 0] = [np.nan, 3.0, -np.inf, 1.0]
-    assert serialize(deserialize(bytes(buf))) == bytes(buf)
+    assert same_bytes(serialize(deserialize(bytes(buf))), buf)
 
 
 def test_tau_sign_survives_loading_after_the_other_sign():
@@ -400,7 +401,7 @@ def test_tau_sign_survives_loading_after_the_other_sign():
     bufs = [serialize(Tree(Hyperparams(dims=2, classes=3, tau=tau, max_nodes=7))) for tau in (0.0, -0.0)]
     assert bufs[0] != bufs[1]
     for buf in bufs + bufs[::-1]:
-        assert serialize(deserialize(buf)) == buf
+        assert same_bytes(serialize(deserialize(buf)), buf)
 
 
 def test_unused_fields_and_frozen_bytes_load_as_canonical():
@@ -424,8 +425,8 @@ def test_unused_fields_and_frozen_bytes_load_as_canonical():
     canonical = serialize(reloaded(tree, 4, frozen=True))
     back = deserialize(bytes(buf))
     assert back.view().frozen[back.leaf_indices()].tolist() == [False, True, True]
-    assert serialize(back) == canonical
-    assert serialize(deserialize(canonical)) == canonical
+    assert same_bytes(serialize(back), canonical)
+    assert same_bytes(serialize(deserialize(canonical)), canonical)
 
 
 def test_deserialize_rejects_child_before_parent():
@@ -473,7 +474,7 @@ def assert_sound(tree):
         assert 0 <= tree.infer(x) < tree.params.classes
     assert tree.predict(probes).tolist() == [tree.infer(x) for x in probes]
     again = serialize(tree)
-    assert serialize(deserialize(again)) == again
+    assert same_bytes(serialize(deserialize(again)), again)
 
 
 @settings(max_examples=300, deadline=None)

@@ -3,7 +3,7 @@
     python tools/parent_differential.py REF
 
 Extracts the files of commit REF (for example HEAD~1) with `git archive`
-into a temporary directory, then trains the same 148 trees with the
+into a temporary directory, then trains the same 149 trees with the
 streamtree package under src/ of this checkout and with REF's, one
 process per side, and compares them:
 
@@ -29,7 +29,12 @@ process per side, and compares them:
   every non-frozen leaf's samples-since-attempt counter is set to
   n_min - 1, n_min or 3 n_min + 1 in the tree's snapshot. Only a
   snapshot can hold a counter at or past n_min on a leaf that may still
-  split, and a tree trained from empty never does.
+  split, and a tree trained from empty never does;
+- a served tree, the serve-bundles benchmark's traffic: acceptance seed
+  3 trained on its first 40,000 rows, then 8,192 more rows of its
+  population in a seeded order, a share of 0.1 of them train-flagged.
+  Most of its bundles change no leaf's answer, so they take the early
+  exit of Tree._answers.
 
 It also hashes nine generator streams on each side, on which no tree is
 trained: the populations of the three benchmark workloads (D=3 K=5 at
@@ -45,11 +50,12 @@ snapshot. A stream that differs means the generators or the start trees
 differ: the script names those corpora and compares answers only on the
 others, so a changed generator does not read as a wall of answer
 mismatches. Each stream is fed through process_bundle in chunks of 1,
-37, 128, 1,000 and 5,000 rows and as single train()/infer() calls; every
-feeding must give the other side's answers and serialize() sha256. 128
-rows is the serve-bundles benchmark's bundle size, at which about half
-of the corpus's kernel calls take the split-attempt check's early exit
-(see Tree._attempt_rows). In
+37, 128, 1,000 and 5,000 rows, the served tree's in bundles of 1, 8, 32
+and 128 rows, and as single train()/infer() calls; every feeding must
+give the other side's answers and serialize() sha256. 128 rows is the
+serve-bundles benchmark's bundle size, at which about half of the
+corpus's kernel calls take the split-attempt check's early exit (see
+Tree._attempt_rows). In
 the 1,000-row feeding, per-row infer() also answers each chunk's rows on
 the tree the earlier chunks left, before the chunk goes in, so an answer
 that a later chunk should have changed shows as a mismatch. On every final tree, and
@@ -61,10 +67,11 @@ tree, node and frozen-leaf counts and every mismatch, and exits 1 on any.
 The thresholds, the frozen leaves and the resumed trees' counters are
 read and set in snapshot records, which every side since the record
 layout shares.
-Of the 157 streams it compares, 148 feed trees and nine are the
-generator streams above.
+Of the 158 streams it compares, 149 feed trees and nine are the
+generator streams above; 11 of its 1,935 digests are the served tree's.
 The corpora are those of tests/test_learn.py and tests/test_acceptance.py,
-but for the resumed trees, the tied stream and the tight D=54 stream.
+but for the resumed trees, the tied stream, the tight D=54 stream and
+the served tree.
 It takes some minutes per side.
 """
 
@@ -80,6 +87,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CHUNKS = (1, 37, 128, 1_000, 5_000)
+# the served tree's bundle sizes, and the rows it serves
+SERVED_CHUNKS = (1, 8, 32, 128)
+SERVED_ROWS = 8_192
 # the feeding whose chunks per-row infer() answers before they go in
 BETWEEN_CHUNK = 1_000
 # the rows a resumed tree is trained on before its counters are set
@@ -89,7 +99,7 @@ GENERATOR_BLOCK_VALUES = 2**17
 
 
 def corpus(st, np):
-    """(name, params, stream, origin) of the 148 trees.
+    """(name, params, stream, origin) of the 149 trees.
 
     origin is None for a tree that starts empty, else the snapshot bytes
     of the tree that every feeding of the stream starts from.
@@ -185,6 +195,28 @@ def corpus(st, np):
             origin = resumed(st, params, stream[:RESUME_AT], count)
             yield f"resumed-{n_min}-{count}", params, stream[RESUME_AT:], origin
 
+    yield served(st, np)
+
+
+def served(st, np):
+    """The serve-bundles benchmark's traffic: (name, params, stream, origin) of one served tree.
+
+    Acceptance seed 3's population, one generator stream, trained on its
+    first 40,000 rows; the rows after them, in a seeded order, with a
+    share of 0.1 train-flagged, are the stream.
+    """
+    spec = st.DatasetSpec(clusters=5, dims=3, samples=40_000 + SERVED_ROWS,
+                          cluster_spread=0.04, center_box=2.0, seed=3)
+    pool = st.generate_clusters(spec)
+    params = st.Hyperparams(dims=3, classes=5, tau=0.1)
+    tree = st.Tree(params)
+    st.run_prequential(tree, pool[:40_000])
+    rng = np.random.default_rng(3)
+    rest = [pool[i] for i in 40_000 + rng.permutation(SERVED_ROWS)]
+    flags = rng.random(SERVED_ROWS) < 0.1
+    stream = [st.Sample(s.features, s.label, bool(f)) for s, f in zip(rest, flags)]
+    return "served-3", params, stream, bytes(st.serialize(tree))
+
 
 def stream_only(st):
     """(name, stream) of the generator streams that no tree is trained on.
@@ -270,7 +302,7 @@ def worker(src: str) -> None:
         def fresh():
             return st.Tree(params) if origin is None else st.deserialize(origin)
 
-        for chunk in CHUNKS:
+        for chunk in SERVED_CHUNKS if name.startswith("served") else CHUNKS:
             tree = fresh()
             answers, between = [], []
             for start in range(0, len(stream), chunk):
