@@ -110,7 +110,8 @@ def build_parser() -> argparse.ArgumentParser:
     csv_group.add_argument("--feature-cols", type=_str_list, help="comma-separated feature columns")
     csv_group.add_argument("--categorical-cols", type=_str_list, default=[], help="feature columns to ordinal-encode")
     csv_group.add_argument("--no-header", action="store_true", help="file has no header row; columns are indices")
-    csv_group.add_argument("--delimiter", default=",", help="field delimiter (default ',')")
+    csv_group.add_argument("--delimiter", type=_checked(str, lambda v: len(v) == 1, "must be one character"),
+                           default=",", help="field delimiter (default ',')")
     csv_group.add_argument("--classes", type=_POSITIVE, help="label count (default: observed cardinality)")
     _add_hyperparam_flags(run)
     run.add_argument("--window", type=_POSITIVE, default=1000, help="windowed accuracy size (default 1000)")
@@ -134,8 +135,19 @@ class SystemExit2(Exception):
     """Usage problem detected after argparse (still exit code 1)."""
 
 
-def _column(value: str, no_header: bool):
-    return int(value) if no_header else value
+def _index_columns(parser: argparse.ArgumentParser, args) -> None:
+    """With --no-header, turn the column flags into indices; one that is not an integer is a usage error."""
+
+    def index(flag: str, text: str) -> int:
+        try:
+            return int(text)
+        except ValueError:
+            parser.error(f"argument {flag}: must name columns by index with --no-header, got {text!r}")
+
+    args.feature_cols = [index("--feature-cols", c) for c in args.feature_cols or []]
+    if args.label_col is not None:
+        args.label_col = index("--label-col", args.label_col)
+    args.categorical_cols = [index("--categorical-cols", c) for c in args.categorical_cols]
 
 
 def _cmd_gen(args) -> int:
@@ -155,9 +167,9 @@ def _load_run_stream(args):
     if not args.feature_cols or args.label_col is None:
         raise SystemExit2("--csv requires --feature-cols and --label-col")
     schema = CsvSchema(
-        features=[_column(c, args.no_header) for c in args.feature_cols],
-        label=_column(args.label_col, args.no_header),
-        categorical=[_column(c, args.no_header) for c in args.categorical_cols],
+        features=args.feature_cols,
+        label=args.label_col,
+        categorical=args.categorical_cols,
         header=not args.no_header,
         classes=args.classes,
         delimiter=args.delimiter,
@@ -245,7 +257,10 @@ def _cmd_mem(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "run" and args.no_header:
+        _index_columns(parser, args)
     handlers = {"gen": _cmd_gen, "run": _cmd_run, "mem": _cmd_mem}
     try:
         return handlers[args.command](args)

@@ -132,6 +132,8 @@ class CsvSchema:
     def __post_init__(self) -> None:
         if not self.features:
             raise ValueError("schema needs at least one feature column")
+        if not isinstance(self.delimiter, str) or len(self.delimiter) != 1:
+            raise ValueError(f"delimiter must be one character, got {self.delimiter!r}")
         unknown = set(self.categorical) - set(self.features)
         if unknown:
             raise ValueError(f"categorical columns not among features: {unknown}")

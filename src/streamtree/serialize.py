@@ -18,13 +18,21 @@ row has absorbed that class's samples), and the samples since the last
 split attempt, saturated at 2^32 - 1; deserialize() checks the records
 and keeps one canonical copy of them as the live records.
 
-serialize() returns a read-only memoryview over fresh private anonymous
-pages (mmap with MAP_PRIVATE, so POSIX only). The kernel zero-fills a page
-on its first touch, and reading an untouched page maps the shared zero
-page, so the empty capacity costs neither time nor memory: a snapshot costs
-what its header and used records do. The view compares, hashes, slices and
-writes like bytes; bytes(serialize(tree)) makes a bytes copy. deserialize()
-takes any C-contiguous bytes-like buffer, of any item size.
+serialize() returns a read-only memoryview over private anonymous pages
+(mmap with MAP_PRIVATE, so POSIX only). The kernel zero-fills a page on its
+first touch, and reading an untouched page maps the shared zero page, so
+the empty capacity costs neither time nor memory: a snapshot costs what its
+header and used records do. The view compares, hashes, slices and writes
+like bytes; bytes(serialize(tree)) makes a bytes copy. deserialize() takes
+any C-contiguous bytes-like buffer, of any item size.
+
+This module keeps the mappings of each live tree's last two snapshots, and
+serialize() writes into one of them once no view of it is alive: a device
+sync that drops the snapshot before last then touches pages already
+faulted in, as a device buffer updated in place would. A snapshot that is
+still held never changes, and the kept mappings go with the tree. So a
+live tree holds at most two snapshots' used pages beyond those its caller
+still holds.
 """
 
 from __future__ import annotations
@@ -32,6 +40,9 @@ from __future__ import annotations
 import math
 import mmap
 import struct
+import sys
+import threading
+import weakref
 from functools import lru_cache
 from itertools import chain
 from operator import gt
@@ -103,16 +114,75 @@ def _records(buffer, params: Hyperparams, count: int) -> np.ndarray:
     return np.frombuffer(buffer, dtype, count, _HEADER.size)
 
 
+def _refs(slots: list, i: int) -> int:
+    """sys.getrefcount of slots[i]; _FREE is this call's count on a mapping no one else holds."""
+    return sys.getrefcount(slots[i])
+
+
+def _free_refs() -> int | None:
+    """The count _refs gives for a mapping that only its slot holds, or None where it cannot tell.
+
+    This is the probe for a snapshot that is still held: every buffer
+    exported from a mapping, and so every memoryview, slice of one and
+    np.frombuffer array over one, holds a reference to the mapping. It does
+    not raise and makes no system call. The count is measured here, not
+    assumed, because interpreters differ in the references a call holds.
+    Without sys.getrefcount (PyPy), or where a view does not raise the
+    count, it is None, and every snapshot maps fresh pages.
+    """
+    if not hasattr(sys, "getrefcount"):
+        return None
+    slots = [mmap.mmap(-1, 1)]
+    free = _refs(slots, 0)
+    with memoryview(slots[0]):
+        viewed = _refs(slots, 0)
+    return free if viewed == free + 1 else None
+
+
+_FREE = _free_refs()
+# the mappings of each live tree's last two snapshots, the newest last
+_kept: weakref.WeakKeyDictionary[Tree, list[mmap.mmap]] = weakref.WeakKeyDictionary()
+_kept_lock = threading.Lock()
+
+
+def _pages(tree: Tree, size: int) -> mmap.mmap:
+    """A private mapping of size bytes for tree's next snapshot.
+
+    One of the tree's kept mappings that nothing else holds, if there is
+    one, else fresh pages, which replace the older kept mapping. The
+    caller's reference to the pages marks them as held from the moment the
+    lock is released, so another thread's probe passes them over.
+    """
+    if _FREE is None:
+        return mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
+    with _kept_lock:
+        slots = _kept.get(tree)
+        if slots is None:
+            slots = _kept[tree] = []
+        for i in range(len(slots)):
+            if _refs(slots, i) == _FREE:
+                slots.append(slots.pop(i))
+                return slots[-1]
+        slots.append(mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE))
+        del slots[:-2]
+        return slots[-1]
+
+
 def serialize(tree: Tree) -> memoryview:
     """Snapshot the whole arena, including empty capacity, into one read-only buffer.
 
-    The buffer is model_bytes fresh private pages, which the kernel fills
-    with zeros when they are first touched. The header is packed into them
-    and the used records copied in once, then their two derived fields are
-    filled in; the pages of empty capacity are never touched, so the cost
-    follows node_count, not max_nodes. Each call returns a new buffer."""
+    The buffer is model_bytes private pages: those of one of the tree's
+    last two snapshots that no view holds any more, else fresh ones, which
+    the kernel fills with zeros when they are first touched. The header is
+    packed into them and the used records copied in once, then their two
+    derived fields are filled in; the pages of empty capacity are never
+    touched, so the cost follows node_count, not max_nodes. The buffer
+    never changes while a view of it is alive, and its bytes are those of
+    a fresh mapping: a tree's node_count never falls, so the header and
+    records 0..node_count-1 cover every byte an earlier snapshot of the
+    tree wrote, and the records past them are still zero."""
     p, n, pool = tree.params, tree.node_count, tree._pool
-    pages = mmap.mmap(-1, model_bytes(p), flags=mmap.MAP_PRIVATE)
+    pages = _pages(tree, model_bytes(p))
     _HEADER.pack_into(
         pages, 0, MAGIC, FORMAT_VERSION, p.max_nodes, p.dims, p.classes, p.n_quantiles,
         p.n_pt, p.n_min, n, tree.root, p.delta, p.lam, p.tau,

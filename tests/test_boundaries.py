@@ -93,12 +93,12 @@ def write(samples) -> str:
         return path.read_text().splitlines()[-1]
 
 
-def load(text: str) -> list:
+def load(text: str, delimiter: str = ",") -> list:
     """load_csv of text, as columns a and b and a label of at most two classes: (features, label) per sample."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "stream.csv"
         path.write_text(text)
-        schema = CsvSchema(features=["a", "b"], label="label", classes=2)
+        schema = CsvSchema(features=["a", "b"], label="label", classes=2, delimiter=delimiter)
         return [(s.features.tolist(), s.label) for s in load_csv(path, schema)]
 
 
@@ -295,6 +295,10 @@ CELLS = [
     ("load_csv", "blank label", lambda t: load("a,b,label\n1,2,x\n1,2, \n"), "^line 3: empty label ' ' in column 'label'$"),
     ("load_csv", "labels in order", lambda t: load("a,b,label\n1,2,y\n\n3,4,x\n"),
      Accepts(lambda t: [([1.0, 2.0], 0), ([3.0, 4.0], 1)])),
+    ("load_csv", "delimiter ''", lambda t: load("a,b,label\n1,2,x\n", ""), "^delimiter must be one character, got ''$"),
+    ("load_csv", "delimiter ';;'", lambda t: load("a;;b;;label\n1;;2;;x\n", ";;"),
+     "^delimiter must be one character, got ';;'$"),
+    ("load_csv", "delimiter ';'", lambda t: load("a;b;label\n1;2;x\n", ";"), Accepts(lambda t: [([1.0, 2.0], 0)])),
     # deserialize: a buffer is read as bytes, whatever its item size
     ("deserialize", "wide items", lambda t: bytes(serialize(deserialize(memoryview(serialize(t)).cast("H")))),
      Accepts(lambda t: bytes(serialize(t)))),

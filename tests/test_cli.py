@@ -190,6 +190,16 @@ def test_usage_errors_exit_one():
     (["run", "--synthetic", "--spread", "inf"], "argument --spread: must be finite"),
     (["run", "--synthetic", "--lambda", "inf"], "argument --lambda: must be finite"),
     (["run", "--synthetic", "--seed", "-1"], "argument --seed: must be non-negative"),
+    (["run", "--csv", "never.csv", "--feature-cols", "a,b", "--label-col", "label", "--delimiter", ""],
+     "argument --delimiter: must be one character"),
+    (["run", "--csv", "never.csv", "--feature-cols", "a,b", "--label-col", "label", "--delimiter", ";;"],
+     "argument --delimiter: must be one character"),
+    (["run", "--csv", "never.csv", "--no-header", "--feature-cols", "a,b", "--label-col", "2"],
+     "argument --feature-cols: must name columns by index with --no-header, got 'a'"),
+    (["run", "--csv", "never.csv", "--no-header", "--feature-cols", "0,1", "--label-col", "label"],
+     "argument --label-col: must name columns by index with --no-header, got 'label'"),
+    (["run", "--csv", "never.csv", "--no-header", "--feature-cols", "0,1", "--label-col", "2",
+      "--categorical-cols", "1,c"], "argument --categorical-cols: must name columns by index with --no-header, got 'c'"),
 ])
 def test_out_of_range_flags_are_usage_errors_naming_the_flag(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -1,7 +1,12 @@
 """Round-trip and layout tests for the flat snapshot format."""
 
 import array
+import gc
 import hashlib
+import mmap
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -11,8 +16,12 @@ from buffers import same_bytes
 from leaves import reloaded, set_leaf
 
 from streamtree.datasets import DatasetSpec, generate_clusters
+from streamtree.harness import Bundle, process_bundle
 from streamtree.serialize import (
+    _HEADER,
     FORMAT_VERSION,
+    MAGIC,
+    _kept,
     _records,
     deserialize,
     model_bytes,
@@ -108,6 +117,106 @@ def test_snapshot_is_an_independent_readonly_buffer():
     assert back.node_count == wide.node_count
     assert back.predict(X).tolist() == wide.predict(X).tolist()
     assert hashlib.sha256(serialize(back)).digest() == hashlib.sha256(buf).digest()
+
+
+def fresh_pages_serialize(tree) -> bytes:
+    """The reference for kept pages: serialize() as it was when every call mapped fresh pages."""
+    p, n, pool = tree.params, tree.node_count, tree._pool
+    pages = mmap.mmap(-1, model_bytes(p), flags=mmap.MAP_PRIVATE)
+    _HEADER.pack_into(
+        pages, 0, MAGIC, FORMAT_VERSION, p.max_nodes, p.dims, p.classes, p.n_quantiles,
+        p.n_pt, p.n_min, n, tree.root, p.delta, p.lam, p.tau,
+    )
+    used = pool.array[:n]
+    pages[_HEADER.size : _HEADER.size + used.nbytes] = used
+    rec = _records(pages, p, n)
+    rec["sketch_counts"] = rec["class_counts"][:, :, None]
+    rec["since_last_attempt"] = np.minimum(pool.since[:n], 2**32 - 1)
+    return bytes(pages)
+
+
+# how a sync loop holds its snapshot: as the view, a slice of it, an array over it, or not at all
+HOLDS = (lambda s: s, lambda s: s[1:-1], lambda s: np.frombuffer(s, np.uint8), None, None)
+
+
+def test_kept_pages_never_change_a_held_snapshot_and_equal_fresh_pages():
+    # the tree grows from 3 to 21 nodes, so later snapshots write records
+    # that the pages they reuse never held
+    tree = Tree(Hyperparams(dims=3, classes=5, n_min=50, tau=0.5, max_nodes=63))
+    stream = generate_clusters(DatasetSpec(5, 3, 6_000, 0.05, 2.0, seed=4))
+    held, mappings, reused = [], [], 0
+    for k, start in enumerate(range(0, len(stream), 128)):
+        process_bundle(tree, Bundle(stream[start : start + 128], 128))
+        snapshot = serialize(tree)
+        assert bytes(snapshot) == fresh_pages_serialize(tree)
+        if any(m() is snapshot.obj for m in mappings):
+            reused += 1
+        else:
+            mappings.append(weakref.ref(snapshot.obj))
+        hold = HOLDS[k % len(HOLDS)]
+        if hold is not None:
+            held.append((hold(snapshot), bytes(hold(snapshot))))
+        del snapshot
+        for view, copy in held:
+            assert bytes(view) == copy
+    assert tree.node_count > 15
+    # every snapshot dropped before the next call wrote into kept pages, so
+    # the mappings are those held and at most the two kept ones
+    assert reused >= len(range(0, len(stream), 128)) - len(held) - 2
+    assert len(mappings) <= len(held) + 2
+    assert len(_kept[tree]) == 2
+
+
+def test_kept_pages_go_with_their_tree():
+    tree = trained_tree(seed=2, n=1500, max_nodes=31)
+    held = serialize(tree)
+    copy = bytes(held)
+    dropped = [weakref.ref(serialize(tree).obj) for _ in range(3)]
+    assert dropped[0]() is dropped[1]() is dropped[2]() is not None
+    del tree
+    gc.collect()
+    assert dropped[0]() is None
+    # a snapshot still held outlives its tree
+    assert bytes(held) == copy
+    pages = weakref.ref(held.obj)
+    del held
+    assert pages() is None
+
+
+def test_threads_serializing_one_tree_never_share_pages():
+    tree = trained_tree(seed=5, n=1500, max_nodes=31)
+    want = fresh_pages_serialize(tree)
+    held, guard, faults = set(), threading.Lock(), []
+
+    def sync():
+        try:
+            for _ in range(300):
+                snapshot = serialize(tree)
+                pages = id(snapshot.obj)
+                with guard:
+                    if pages in held:
+                        faults.append("two threads hold one mapping")
+                    held.add(pages)
+                if bytes(snapshot) != want:
+                    faults.append("a snapshot differs from fresh pages")
+                with guard:
+                    held.discard(pages)
+                del snapshot
+        except Exception as exc:  # a thread's failure must reach the test
+            faults.append(repr(exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=sync) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert faults == []
 
 
 def test_round_trip_preserves_statistics_and_training():

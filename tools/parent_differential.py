@@ -34,7 +34,12 @@ process per side, and compares them:
   3 trained on its first 40,000 rows, then 8,192 more rows of its
   population in a seeded order, a share of 0.1 of them train-flagged.
   Most of its bundles change no leaf's answer, so they take the early
-  exit of Tree._answers.
+  exit of Tree._answers. It is also run as a device sync loop: a
+  serialize() after every 128-row bundle, with every other snapshot
+  held, as the view, a slice of it or an array over it, and hashed only
+  after the loop. serialize() writes into the pages of a tree's earlier
+  snapshots once nothing holds them, so a snapshot changed behind its
+  holder shows as a digest that differs from the other side's.
 
 It also hashes nine generator streams on each side, on which no tree is
 trained: the populations of the three benchmark workloads (D=3 K=5 at
@@ -68,7 +73,7 @@ The thresholds, the frozen leaves and the resumed trees' counters are
 read and set in snapshot records, which every side since the record
 layout shares.
 Of the 158 streams it compares, 149 feed trees and nine are the
-generator streams above; 11 of its 1,935 digests are the served tree's.
+generator streams above; 12 of its 1,936 digests are the served tree's.
 The corpora are those of tests/test_learn.py and tests/test_acceptance.py,
 but for the resumed trees, the tied stream, the tight D=54 stream and
 the served tree.
@@ -87,9 +92,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CHUNKS = (1, 37, 128, 1_000, 5_000)
-# the served tree's bundle sizes, and the rows it serves
+# the served tree's bundle sizes, the rows it serves and its sync loop's bundle size
 SERVED_CHUNKS = (1, 8, 32, 128)
 SERVED_ROWS = 8_192
+SYNC_BUNDLE = 128
 # the feeding whose chunks per-row infer() answers before they go in
 BETWEEN_CHUNK = 1_000
 # the rows a resumed tree is trained on before its counters are set
@@ -259,6 +265,29 @@ def resumed(st, params, warmup, count) -> bytes:
     return bytes(buf)
 
 
+def sync_loop(st, np, tree, stream) -> str:
+    """Digest of the snapshots after every SYNC_BUNDLE-row bundle, every other one held to the end.
+
+    A held snapshot is kept as the view, a slice of it or an array over
+    it, and hashed after the loop; the others are hashed and dropped at
+    once, so later snapshots may write into their pages.
+    """
+    holds = (lambda s: s, lambda s: s[1:], lambda s: np.frombuffer(s, np.uint8))
+    digests, held = [], []
+    for k, start in enumerate(range(0, len(stream), SYNC_BUNDLE)):
+        st.process_bundle(tree, st.Bundle(stream[start : start + SYNC_BUNDLE], SYNC_BUNDLE))
+        snapshot = st.serialize(tree)
+        if k % 2:
+            digests.append(sha(snapshot))
+        else:
+            digests.append(None)
+            held.append((k, holds[k // 2 % len(holds)](snapshot)))
+        del snapshot
+    for k, view in held:
+        digests[k] = sha(memoryview(view))
+    return sha(digests)
+
+
 def sha(data) -> str:
     """sha256 of a bytes-like buffer's bytes, or of anything else as JSON."""
     if not isinstance(data, (bytes, bytearray, memoryview)):
@@ -313,6 +342,8 @@ def worker(src: str) -> None:
             out[f"{name}/chunk-{chunk}"] = [sha(answers), sha(st.serialize(tree))]
             if chunk == BETWEEN_CHUNK:
                 out[f"{name}/chunk-{chunk}/infer-between"] = sha(between)
+        if name.startswith("served"):
+            out[f"{name}/sync-loop"] = sync_loop(st, np, fresh(), stream)
         tree = fresh()
         answers = [tree.train(s) if s.train else tree.infer(s.features) for s in stream]
         out[f"{name}/single"] = [sha(answers), sha(st.serialize(tree))]
