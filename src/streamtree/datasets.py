@@ -120,6 +120,7 @@ class CsvSchema:
     Columns listed in categorical (and the label column always) are mapped
     to ordinal codes in order of first appearance; all other feature columns
     must parse as numbers. classes, when set, caps label cardinality.
+    delimiter is the one character that separates fields.
     """
 
     features: Sequence[str | int]
